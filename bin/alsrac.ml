@@ -257,6 +257,9 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
           (if r.Core.Flow.resumed then " (resumed)" else "")
           (Errest.Metrics.kind_to_string metric)
           (format_metric_value metric r.Core.Flow.final_est_error);
+        Printf.printf "stop: %s (N=%d)\n"
+          (Core.Flow.stop_reason_to_string r.Core.Flow.stop_reason)
+          r.Core.Flow.final_rounds;
         (match r.Core.Flow.certified with
         | Some c ->
             Printf.printf "certified %s <= %s (%s)\n"

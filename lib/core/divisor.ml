@@ -128,6 +128,99 @@ let select g ~max_tfi v =
       `Continue);
   List.rev !acc
 
+(* ---------- Ranked lazy walk ----------
+
+   The sets of [iter_sets] in (savings descending, enumeration index
+   ascending) order, i.e. what a stable sort of [select] by [true_savings]
+   yields, built only as far as the consumer reads.  Folding in
+   [Graph.and_] gives every AND two distinct non-constant fanins [f0 < f1],
+   so the enumeration is block 0 = {f1}, {u, f1} for u in the TFI list,
+   then block 1 = {f0}, {u, f0}; the only duplicate is {f0, f1}, emitted in
+   block 0 when [f0] survived the [max_tfi] cap and in block 1 otherwise.
+
+   [true_savings] of a set is the MFFC size minus the size of the union of
+   its divisors' in-MFFC fanin closures, so with one closure bitset per MFFC
+   node every set's savings is a popcount (and {u, f} saves exactly what
+   {f} does when u is outside the MFFC).  Adding a divisor never raises the
+   savings, so block b is bounded by the savings of its kept fanin alone.
+   A set reaching the bound of everything not yet enumerated is handed out
+   the moment enumeration reaches it; lower ones wait in per-savings
+   buckets (as [2u + block], [u = 0] for the singleton: node 0 is never a
+   TFI candidate) until the bound drops to their value. *)
+
+let iter_ranked g ~max_tfi ~mffc v f =
+  if Graph.is_and g v then begin
+    let f0 = Graph.node_of (Graph.fanin0 g v) in
+    let f1 = Graph.node_of (Graph.fanin1 g v) in
+    let tfi = tfi_candidates g ~max_tfi v in
+    let members = Array.of_list mffc in
+    Array.sort compare members;
+    let m = Array.length members in
+    (* Position of node [x] in [members], or -1 outside the MFFC. *)
+    let local x =
+      let rec search lo hi =
+        if lo >= hi then -1
+        else
+          let mid = (lo + hi) / 2 in
+          let y = members.(mid) in
+          if y = x then mid else if y < x then search (mid + 1) hi else search lo mid
+      in
+      search 0 m
+    in
+    (* Ascending ids are topological, so fanin closures are ready in time. *)
+    let closure = Array.map (fun _ -> Bitvec.create m) members in
+    Array.iteri
+      (fun i x ->
+        Bitvec.set closure.(i) i true;
+        let add l =
+          let j = local (Graph.node_of l) in
+          if j >= 0 then Bitvec.logor_inplace closure.(i) closure.(j)
+        in
+        add (Graph.fanin0 g x);
+        add (Graph.fanin1 g x))
+      members;
+    let size = Array.map Bitvec.popcount closure in
+    (* [true_savings] of {u, k}; [u = 0] stands for {k} alone. *)
+    let savings u k =
+      let ju = local u and jk = local k in
+      if ju < 0 then if jk < 0 then m else m - size.(jk)
+      else if jk < 0 then m - size.(ju)
+      else m - ((size.(ju) + size.(jk) + Bitvec.popcount_xor closure.(ju) closure.(jk)) / 2)
+    in
+    let kept = [| f1; f0 |] in
+    let set_of code =
+      let u = code lsr 1 and k = kept.(code land 1) in
+      if u = 0 then [| k |] else if u < k then [| u; k |] else [| k; u |]
+    in
+    let exception Stop in
+    let emit s code =
+      match f ~savings:s (set_of code) with `Stop -> raise Stop | `Continue -> ()
+    in
+    let s0 = savings 0 f0 and s1 = savings 0 f1 in
+    let bound = ref (max s0 s1) in
+    let waiting = Array.make !bound [] in
+    (* Hand out every waiting set at or above [down_to], best first. *)
+    let lower_bound down_to =
+      for s = !bound - 1 downto down_to do
+        List.iter (emit s) (List.rev waiting.(s));
+        waiting.(s) <- []
+      done;
+      bound := down_to
+    in
+    let visit s code = if s = !bound then emit s code else waiting.(s) <- code :: waiting.(s) in
+    let block b ~skip =
+      let k = kept.(b) in
+      visit (savings 0 k) b;
+      List.iter (fun u -> if u <> k && u <> skip then visit (savings u k) ((u lsl 1) lor b)) tfi
+    in
+    try
+      block 0 ~skip:0;
+      lower_bound s0;
+      block 1 ~skip:(if List.mem f0 tfi then f1 else 0);
+      lower_bound 0
+    with Stop -> ()
+  end
+
 (* ---------- Graph-wide signature-filtered collection ----------
 
    Divisor candidates for exact resubstitution: every PI or AND node that is

@@ -28,7 +28,8 @@ val iter_sets :
     {!tfi_candidates} — at most [max_tfi] TFI nodes, nearest-first. *)
 
 val select : Aig.Graph.t -> max_tfi:int -> int -> int array list
-(** Eager version (mainly for tests): all sets in enumeration order. *)
+(** Eager version: all sets in enumeration order.  The reference that
+    tests hold {!iter_ranked} against; no production path calls it. *)
 
 val true_savings :
   Aig.Graph.t ->
@@ -40,6 +41,21 @@ val true_savings :
     replaced by a function of the divisors: a divisor inside the MFFC keeps
     itself and its in-MFFC transitive fanin alive.  [in_mffc] maps the
     MFFC's node ids (from {!Aig.Cone.mffc}), built once per target. *)
+
+val iter_ranked :
+  Aig.Graph.t ->
+  max_tfi:int ->
+  mffc:int list ->
+  int ->
+  (savings:int -> int array -> [ `Stop | `Continue ]) ->
+  unit
+(** [iter_ranked g ~max_tfi ~mffc v f] calls [f ~savings set] on the sets
+    of {!iter_sets} in descending {!true_savings} order, ties in
+    enumeration order — exactly a stable sort of {!select} by savings —
+    until [f] answers [`Stop] or the sets are exhausted.  [mffc] is the
+    target's MFFC ({!Aig.Cone.mffc}).  The walk is lazy: a set is built and
+    handed out as soon as no set still to be enumerated can outrank it, and
+    enumeration ends when [f] stops it. *)
 
 val collect :
   Aig.Graph.t ->

@@ -11,6 +11,13 @@ type event = Journal.event = {
 
 type stop_reason = Budget_exhausted | Stalled | Max_iters | Emptied | Timed_out
 
+let stop_reason_to_string = function
+  | Budget_exhausted -> "budget-exhausted"
+  | Stalled -> "stalled"
+  | Max_iters -> "max-iters"
+  | Emptied -> "emptied"
+  | Timed_out -> "timed-out"
+
 exception Cancelled
 
 type certify = {

@@ -93,6 +93,11 @@ type stop_reason =
   | Emptied  (** the circuit shrank to constants *)
   | Timed_out  (** the [max_seconds] wall-clock budget ran out *)
 
+val stop_reason_to_string : stop_reason -> string
+(** Kebab-case name: ["budget-exhausted"], ["stalled"], ["max-iters"],
+    ["emptied"] or ["timed-out"] — as printed by [alsrac approx] and sent
+    by the resident daemon. *)
+
 type bound_family =
   | Hoeffding
       (** statistical upper bound at [Config.confidence], sound only for

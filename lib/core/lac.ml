@@ -8,46 +8,40 @@ type t = {
   gain : int;
 }
 
-(* Derivation (Espresso + factoring) is the expensive step, so first collect
-   every feasible divisor set with its cheap savings bound, then derive
-   functions only for the most promising few. *)
+(* Algorithm 2 stops at the first feasible sets in savings order, so the
+   sets are visited lazily in that order ([Divisor.iter_ranked]) and each is
+   care-scanned only when it comes up.  Deriving a function (and its
+   factored cost) decides whether a set yields a candidate; at most this
+   many sets per node are derived. *)
 let derivations_per_node = 8
 
 (* Candidates of one target node, in the order the sequential flow has
    always produced them.  Pure in everything shared: the graph, signatures,
    fanout counts and ODC masks are only read, all scratch state is local —
    which is what makes the per-node fan-out below safe. *)
-let candidates_for ?obs ?pool g ~(config : Config.t) ~sigs ~rounds ~fanouts v =
+let candidates_for ?obs g ~(config : Config.t) ~sigs ~rounds ~fanouts v =
   let mffc = Aig.Cone.mffc g ~fanouts v in
-  let mffc_size = List.length mffc in
-  let in_mffc = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace in_mffc n ()) mffc;
   let mask = Option.map (fun o -> o.(v)) obs in
-  let sets = Array.of_list (Divisor.select g ~max_tfi:config.max_tfi_divisors v) in
-  let feasible =
-    Feasibility.filter ?pool ?mask ~sigs ~node:v ~sets ~rounds ()
-    |> List.map (fun (divisors, care) ->
-           (Divisor.true_savings g ~in_mffc ~mffc_size divisors, divisors, care))
-  in
-  let ranked =
-    List.stable_sort (fun (s1, _, _) (s2, _, _) -> compare s2 s1) feasible
-  in
   let found = ref 0 and derived = ref 0 in
+  let quota_met () = !derived >= derivations_per_node || !found >= config.lac_limit in
   let candidates = ref [] in
-  List.iter
-    (fun (savings, divisors, care) ->
-      if !derived < derivations_per_node && !found < config.lac_limit && savings >= 1
-      then begin
-        incr derived;
-        let cover = Resub.derive care in
-        let expr = Resub.expr_of_cover cover in
-        let gain = savings - Logic.Factor.and2_cost expr in
-        if gain >= 0 then begin
-          incr found;
-          candidates := { target = v; divisors; cover; expr; gain } :: !candidates
-        end
-      end)
-    ranked;
+  Divisor.iter_ranked g ~max_tfi:config.max_tfi_divisors ~mffc v
+    (fun ~savings divisors ->
+      if quota_met () || savings < 1 then `Stop
+      else begin
+        let care = Care.scan ?mask ~sigs ~node:v ~divisors ~rounds () in
+        if Feasibility.ok care then begin
+          incr derived;
+          let cover = Resub.derive care in
+          let expr = Resub.expr_of_cover cover in
+          let gain = savings - Logic.Factor.and2_cost expr in
+          if gain >= 0 then begin
+            incr found;
+            candidates := { target = v; divisors; cover; expr; gain } :: !candidates
+          end
+        end;
+        if quota_met () then `Stop else `Continue
+      end);
   !candidates
 
 let generate ?obs ?pool g ~(config : Config.t) ~sigs ~rounds =
@@ -55,18 +49,9 @@ let generate ?obs ?pool g ~(config : Config.t) ~sigs ~rounds =
   let nodes = ref [] in
   Graph.iter_ands g (fun v -> if fanouts.(v) > 0 then nodes := v :: !nodes);
   let nodes = Array.of_list (List.rev !nodes) in
-  let n = Array.length nodes in
-  (* Fan across target nodes; when the pool outnumbers the targets, push it
-     one level down so the per-set care scans fill the idle lanes instead
-     (nested submit is supported and results are order-independent). *)
-  let set_pool =
-    match pool with
-    | Some p when n < Parallel.Pool.size p -> pool
-    | Some _ | None -> None
-  in
   let per_node =
-    Parallel.Chunk.map ?pool ~n (fun i ->
-        candidates_for ?obs ?pool:set_pool g ~config ~sigs ~rounds ~fanouts nodes.(i))
+    Parallel.Chunk.map ?pool ~n:(Array.length nodes) (fun i ->
+        candidates_for ?obs g ~config ~sigs ~rounds ~fanouts nodes.(i))
   in
   List.concat (Array.to_list per_node)
 

@@ -11,7 +11,10 @@ val tables : Care.t -> Logic.Truth.t * Logic.Truth.t
     [Invalid_argument] if the scan has a conflict. *)
 
 val derive : Care.t -> Logic.Cover.t
-(** Minimized ISOP cover of the resubstitution function. *)
+(** Minimized ISOP cover of the resubstitution function: exactly
+    [Logic.Espresso.minimize] on {!tables}.  With one or two divisors (every
+    LAC set) the result is looked up in a table of all 90 such care tables,
+    minimized by Espresso once at start-up; wider sets call Espresso. *)
 
 val expr_of_cover : Logic.Cover.t -> Logic.Factor.expr
 (** Factored form for AIG insertion. *)

@@ -60,13 +60,6 @@ let locked d f =
   Mutex.lock d.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock d.mutex) f
 
-let stop_reason_to_string : Core.Flow.stop_reason -> string = function
-  | Budget_exhausted -> "budget-exhausted"
-  | Stalled -> "stalled"
-  | Max_iters -> "max-iters"
-  | Emptied -> "emptied"
-  | Timed_out -> "timed-out"
-
 let err ?retry_after_s code detail =
   Protocol.Err { code; detail; retry_after_s }
 
@@ -148,7 +141,7 @@ let approx_reply (s : Session.t) (report : Core.Flow.report) =
         ("input-ands", string_of_int report.Core.Flow.input_ands);
         ("output-ands", string_of_int report.Core.Flow.output_ands);
         ("est-error", Printf.sprintf "%.6g" report.Core.Flow.final_est_error);
-        ("stop-reason", stop_reason_to_string report.Core.Flow.stop_reason);
+        ("stop-reason", Core.Flow.stop_reason_to_string report.Core.Flow.stop_reason);
         ("resumed", string_of_bool report.Core.Flow.resumed);
         ("wall-s", Printf.sprintf "%.3f" report.Core.Flow.wall_s);
       ],

@@ -43,6 +43,61 @@ let test_divisor_iter_stops () =
       `Stop);
   check_int "stopped after one" 1 !count
 
+(* Random circuits with varied width, depth and reconvergence. *)
+let gen_circuit seed =
+  Verify.Gen.random
+    ~profile:
+      { Verify.Gen.npis = 3 + (seed mod 9);
+        npos = 1 + (seed mod 4);
+        nands = 10 + (seed * 7 mod 60);
+        reconv = float_of_int (seed mod 5) /. 4.;
+        compl_p = 0.5 }
+    seed
+
+let mffc_table mffc =
+  let in_mffc = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace in_mffc n ()) mffc;
+  in_mffc
+
+(* The eager order the ranked walk must reproduce: every set of [select]
+   with its [true_savings], stable-sorted by savings, best first. *)
+let eager_ranking g ~max_tfi ~mffc v =
+  let in_mffc = mffc_table mffc and mffc_size = List.length mffc in
+  Core.Divisor.select g ~max_tfi v
+  |> List.map (fun set -> (Core.Divisor.true_savings g ~in_mffc ~mffc_size set, set))
+  |> List.stable_sort (fun (s1, _) (s2, _) -> compare s2 s1)
+
+let test_ranked_walk_oracle () =
+  let targets = ref 0 in
+  for seed = 0 to 219 do
+    let g = gen_circuit seed in
+    let fanouts = Aig.Topo.fanout_counts g in
+    Graph.iter_ands g (fun v ->
+        incr targets;
+        let mffc = Aig.Cone.mffc g ~fanouts v in
+        List.iter
+          (fun max_tfi ->
+            let expected = eager_ranking g ~max_tfi ~mffc v in
+            let got = ref [] in
+            Core.Divisor.iter_ranked g ~max_tfi ~mffc v (fun ~savings set ->
+                got := (savings, set) :: !got;
+                `Continue);
+            if List.rev !got <> expected then
+              Alcotest.failf "seed %d node %d max_tfi %d: ranked walk differs" seed v
+                max_tfi;
+            (* Stopping after [n] sets must hand out exactly the first [n]. *)
+            let n = List.length expected / 2 + 1 in
+            let prefix = ref [] in
+            Core.Divisor.iter_ranked g ~max_tfi ~mffc v (fun ~savings set ->
+                prefix := (savings, set) :: !prefix;
+                if List.length !prefix >= n then `Stop else `Continue);
+            if List.rev !prefix <> List.filteri (fun i _ -> i < n) expected then
+              Alcotest.failf "seed %d node %d max_tfi %d: stopped walk is not a prefix"
+                seed v max_tfi)
+          [ 1; 3; 5000 ])
+  done;
+  check "enough targets" true (!targets > 2000)
+
 (* ---------- The paper's worked example (Examples 1, 3, 4) ---------- *)
 
 (* Signatures observed at divisors {u, z} and node v over the 5 selected PI
@@ -92,6 +147,53 @@ let test_care_unseen_tuples_are_dc () =
   check "tuple 00 is on" true (Logic.Truth.get on 0);
   check "on and dc disjoint" true (Logic.Truth.is_const0 (Logic.Truth.band on dc))
 
+(* Care tables over [k] divisors, one per base-3 code: tuple [i] is
+   unseen, observed 0 or observed 1 by digit [i] of the code. *)
+let care_of_code k code =
+  let table =
+    Array.init (1 lsl k) (fun i ->
+        let rec digit c i = if i = 0 then c mod 3 else digit (c / 3) (i - 1) in
+        match digit code i with
+        | 0 -> Core.Care.Unseen
+        | 1 -> Core.Care.Value false
+        | _ -> Core.Care.Value true)
+  in
+  let care_count =
+    Array.fold_left (fun n e -> if e = Core.Care.Unseen then n else n + 1) 0 table
+  in
+  { Core.Care.divisors = Array.init k (fun i -> i + 1); table; care_count }
+
+let espresso care =
+  let on, dc = Core.Resub.tables care in
+  Logic.Espresso.minimize ~on ~dc
+
+let test_derive_table_oracle () =
+  let tables = ref 0 in
+  List.iter
+    (fun (k, n) ->
+      for code = 0 to n - 1 do
+        incr tables;
+        let care = care_of_code k code in
+        let cover = Core.Resub.derive care and expected = espresso care in
+        if cover <> expected then Alcotest.failf "k=%d code %d: cover differs" k code;
+        if Core.Resub.expr_of_cover cover <> Logic.Factor.of_cover expected then
+          Alcotest.failf "k=%d code %d: factored form differs" k code
+      done)
+    [ (1, 9); (2, 81) ];
+  check_int "all 1- and 2-divisor care tables" 90 !tables;
+  (* Wider sets still go to Espresso: random 3-divisor tables. *)
+  let rng = Logic.Rng.create 5 in
+  for _ = 1 to 300 do
+    let care = care_of_code 3 (Logic.Rng.int rng 6561) in
+    check "3-divisor cover = Espresso" true (Core.Resub.derive care = espresso care)
+  done;
+  let conflict = care_of_code 2 0 in
+  conflict.Core.Care.table.(0) <- Core.Care.Conflict;
+  check "conflict rejected" true
+    (match Core.Resub.derive conflict with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* ---------- LAC generation (Algorithm 2) ---------- *)
 
 let redundant_circuit () =
@@ -136,6 +238,110 @@ let test_lac_respects_limit () =
       Hashtbl.replace per_node lac.Core.Lac.target (n + 1))
     lacs;
   Hashtbl.iter (fun _ n -> check_int "L=1 respected" 1 n) per_node
+
+(* The eager Algorithm 2 that [Lac.generate] replaced, kept as its oracle.
+   [eager_ranked] care-scans every set of [Divisor.select] and stable-sorts
+   each target's feasible sets by savings; [eager_lacs] then derives
+   (Espresso called directly) in that order until 8 sets are derived or
+   [lac_limit] candidates found. *)
+let eager_ranked ?obs g ~max_tfi ~sigs ~rounds =
+  let fanouts = Aig.Topo.fanout_counts g in
+  let per_node = ref [] in
+  Graph.iter_ands g (fun v ->
+      if fanouts.(v) > 0 then begin
+        let mffc = Aig.Cone.mffc g ~fanouts v in
+        let in_mffc = mffc_table mffc and mffc_size = List.length mffc in
+        let mask = Option.map (fun o -> o.(v)) obs in
+        let feasible =
+          List.filter_map
+            (fun divisors ->
+              let care = Core.Care.scan ?mask ~sigs ~node:v ~divisors ~rounds () in
+              if Core.Feasibility.ok care then
+                Some (Core.Divisor.true_savings g ~in_mffc ~mffc_size divisors, divisors, care)
+              else None)
+            (Core.Divisor.select g ~max_tfi v)
+        in
+        per_node :=
+          (v, List.stable_sort (fun (s1, _, _) (s2, _, _) -> compare s2 s1) feasible)
+          :: !per_node
+      end);
+  List.rev !per_node
+
+let eager_lacs ranked ~lac_limit =
+  List.concat_map
+    (fun (v, feasible) ->
+      let found = ref 0 and derived = ref 0 and lacs = ref [] in
+      List.iter
+        (fun (savings, divisors, care) ->
+          if !derived < 8 && !found < lac_limit && savings >= 1 then begin
+            incr derived;
+            let cover = espresso care in
+            let expr = Logic.Factor.of_cover cover in
+            let gain = savings - Logic.Factor.and2_cost expr in
+            if gain >= 0 then begin
+              incr found;
+              lacs := { Core.Lac.target = v; divisors; cover; expr; gain } :: !lacs
+            end
+          end)
+        feasible;
+      !lacs)
+    ranked
+
+let test_jobs =
+  match Sys.getenv_opt "ALSRAC_TEST_JOBS" with
+  | Some s -> ( match int_of_string_opt s with Some n when n >= 2 -> n | _ -> 4)
+  | None -> 4
+
+let approx_suite = [ "c880"; "router"; "rca32"; "cavlc"; "adder"; "log2"; "int2float" ]
+
+let test_lac_eager_oracle () =
+  let graphs =
+    List.init 200 (fun seed -> (Printf.sprintf "gen %d" seed, gen_circuit seed))
+    @ List.map
+        (fun name -> (name, Graph.compact ((Option.get (Circuits.Suite.find name)).build ())))
+        approx_suite
+  in
+  let configs = ref 0 and nonempty = ref 0 in
+  Parallel.Pool.with_pool ~jobs:test_jobs (fun wide ->
+      Parallel.Pool.with_pool ~jobs:1 (fun narrow ->
+          List.iteri
+            (fun i (name, g) ->
+              List.iter
+                (fun rounds ->
+                  let pats =
+                    Sim.Patterns.random (Logic.Rng.create (i + rounds)) ~npis:(Graph.num_pis g)
+                      ~len:rounds
+                  in
+                  let sigs = Sim.Engine.simulate g pats in
+                  let masks = Errest.Observability.masks g ~sigs in
+                  List.iter
+                    (fun (max_tfi_divisors, odc) ->
+                      let obs = if odc then Some masks else None in
+                      let ranked = eager_ranked ?obs g ~max_tfi:max_tfi_divisors ~sigs ~rounds in
+                      List.iter
+                        (fun lac_limit ->
+                          let expected = eager_lacs ranked ~lac_limit in
+                          incr configs;
+                          if expected <> [] then incr nonempty;
+                          let config =
+                            { (Core.Config.default ~metric:Errest.Metrics.Er ~threshold:0.01) with
+                              Core.Config.lac_limit; max_tfi_divisors }
+                          in
+                          List.iter
+                            (fun pool ->
+                              if Core.Lac.generate ?obs ~pool g ~config ~sigs ~rounds <> expected
+                              then
+                                Alcotest.failf
+                                  "%s rounds=%d L=%d max_tfi=%d odc=%b jobs=%d: LACs differ"
+                                  name rounds lac_limit max_tfi_divisors odc
+                                  (Parallel.Pool.size pool))
+                            [ narrow; wide ])
+                        [ 1; 4 ])
+                    (List.concat_map (fun cap -> [ (cap, false); (cap, true) ]) [ 1; 3; 5000 ]))
+                [ 4; 17; 62; 63; 130 ])
+            graphs));
+  check_int "every configuration ran" (207 * 5 * 12) !configs;
+  check "most configurations produce LACs" true (2 * !nonempty > !configs)
 
 (* ---------- Flow (Algorithm 3) ---------- *)
 
@@ -243,6 +449,18 @@ let test_flow_depth_guard () =
   let approx, _ = Core.Flow.run ~config g in
   check "depth preserved" true (Aig.Topo.depth approx <= original_depth)
 
+let test_stop_reason_strings () =
+  List.iter
+    (fun (reason, text) ->
+      Alcotest.(check string) text text (Core.Flow.stop_reason_to_string reason))
+    [
+      (Core.Flow.Budget_exhausted, "budget-exhausted");
+      (Core.Flow.Stalled, "stalled");
+      (Core.Flow.Max_iters, "max-iters");
+      (Core.Flow.Emptied, "emptied");
+      (Core.Flow.Timed_out, "timed-out");
+    ]
+
 let () =
   Alcotest.run "core-alsrac"
     [
@@ -250,6 +468,7 @@ let () =
         [
           Alcotest.test_case "set shapes" `Quick test_divisor_sets_shape;
           Alcotest.test_case "early stop" `Quick test_divisor_iter_stops;
+          Alcotest.test_case "ranked walk = sorted eager sets" `Quick test_ranked_walk_oracle;
         ] );
       ( "paper-examples",
         [
@@ -257,11 +476,13 @@ let () =
           Alcotest.test_case "example 4: resub function" `Quick test_example4_resub_function;
           Alcotest.test_case "example 2: infeasibility" `Quick test_example2_infeasibility;
           Alcotest.test_case "unseen tuples are dc" `Quick test_care_unseen_tuples_are_dc;
+          Alcotest.test_case "derivation table = espresso" `Quick test_derive_table_oracle;
         ] );
       ( "lac",
         [
           Alcotest.test_case "generation" `Quick test_lac_generation;
           Alcotest.test_case "limit" `Quick test_lac_respects_limit;
+          Alcotest.test_case "ranked generation = eager oracle" `Quick test_lac_eager_oracle;
         ] );
       ( "flow",
         [
@@ -273,5 +494,6 @@ let () =
           Alcotest.test_case "depth guard" `Quick test_flow_depth_guard;
           Alcotest.test_case "odc masked scan" `Quick test_odc_masked_scan;
           Alcotest.test_case "odc flow" `Quick test_flow_with_odc;
+          Alcotest.test_case "stop reason strings" `Quick test_stop_reason_strings;
         ] );
     ]
