@@ -833,16 +833,11 @@ let ablations () =
         (pct exact) report.Core.Flow.runtime_s)
     variants
 
-(* ---------- Explore bench: sweep determinism + policy comparison ----------
+(* ---------- Explore bench: sweep determinism ----------
 
-   Three corpus sweeps over the same manifest: greedy at jobs=1, greedy at
-   jobs=2 into a fresh directory (the determinism gate: every front file
-   must be byte-identical — exit 1 otherwise), and the UCB1 bandit.  The
-   greedy and bandit sweeps share seeds point-for-point, so their per-point
-   deltas are matched pairs.  Writes BENCH_explore.json: per-point rows,
-   corpus-mean area ratios, the policy-vs-greedy improvement, selection
-   efficiency (accepts per thousand scored candidates), and the bandit's
-   per-arm counters from a representative run. *)
+   Two greedy corpus sweeps over the same manifest, at jobs=1 and at jobs=2
+   into a fresh directory: every front file must be byte-identical (exit 1
+   otherwise). *)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -870,7 +865,7 @@ let fronts_identical dir_a dir_b =
        fa
 
 let explore_bench () =
-  Printf.printf "\n== Explore: corpus sweep determinism and policy comparison ==\n%!";
+  Printf.printf "\n== Explore: corpus sweep determinism ==\n%!";
   let benchmarks =
     if smoke_mode then [ "ctrl"; "int2float" ]
     else [ "c880"; "cavlc"; "ctrl"; "int2float" ]
@@ -879,126 +874,43 @@ let explore_bench () =
     [ { Explore.Ladder.metric = Metrics.Er;
         budgets = (if smoke_mode then [ 0.01; 0.05 ] else [ 0.001; 0.01; 0.05 ]) } ]
   in
-  let e_rounds = if smoke_mode then 256 else 2048 in
-  let e_iters = if smoke_mode then 5 else 50 in
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "alsrac-bench-explore-%d" (Unix.getpid ()))
   in
   rm_rf root;
   Unix.mkdir root 0o755;
-  let spec dir policy jobs =
-    {
-      Explore.Sweep.dir = Filename.concat root dir;
-      benchmarks;
-      ladders;
-      policy;
-      seed = 1;
-      eval_rounds = e_rounds;
-      max_iters = e_iters;
-      shards = 1;
-      shard_id = 0;
-      jobs;
-      distr = Errest.Distr.Unif;
-    }
-  in
-  let sweep name s =
-    let t0 = wall () in
-    match Explore.Sweep.run s with
-    | Error e ->
-        Printf.eprintf "explore bench: %s sweep failed: %s\n" name e;
-        exit 1
-    | Ok p ->
-        Printf.printf "%-14s %d points in %.1fs wall (jobs=%d)\n%!" name
-          p.Explore.Sweep.total (wall () -. t0) s.Explore.Sweep.jobs;
-        p
-  in
-  let pg = sweep "greedy/j1" (spec "greedy-j1" Explore.Policy.Greedy 1) in
-  let _ = sweep "greedy/j2" (spec "greedy-j2" Explore.Policy.Greedy 2) in
-  let _ = sweep "bandit/j2" (spec "bandit-j2" Explore.Policy.Bandit 2) in
-  let identical =
-    fronts_identical (Filename.concat root "greedy-j1") (Filename.concat root "greedy-j2")
-  in
-  Printf.printf "determinism: jobs=1 vs jobs=2 front files %s\n%!"
-    (if identical then "byte-identical" else "DIFFER");
-  let total = pg.Explore.Sweep.total in
-  let points dir =
-    Explore.Store.completed ~dir:(Filename.concat root dir) ~total
-    |> Array.map (function
-         | Some r -> r
-         | None ->
-             Printf.eprintf "explore bench: incomplete sweep in %s\n" dir;
-             exit 1)
-  in
-  let gp = points "greedy-j1" and bp = points "bandit-j2" in
-  let ratio (r : Explore.Store.result) =
-    float_of_int r.Explore.Store.ands /. float_of_int (max 1 r.Explore.Store.orig_ands)
-  in
-  let mean_ratio ps = mean (Array.to_list (Array.map ratio ps)) in
-  let g_ratio = mean_ratio gp and b_ratio = mean_ratio bp in
-  let eff ps =
-    let applied =
-      Array.fold_left (fun n r -> n + r.Explore.Store.applied) 0 ps
-    and scored = Array.fold_left (fun n r -> n + r.Explore.Store.scored) 0 ps in
-    1000.0 *. float_of_int applied /. float_of_int (max 1 scored)
-  in
-  let g_eff = eff gp and b_eff = eff bp in
-  let improvement_pp = pct (g_ratio -. b_ratio) in
-  Printf.printf
-    "corpus mean area ratio: greedy %.2f%%, bandit %.2f%% (improvement %+.2fpp)\n%!"
-    (pct g_ratio) (pct b_ratio) improvement_pp;
-  Printf.printf
-    "selection efficiency: greedy %.2f accepts/kcand, bandit %.2f accepts/kcand\n%!"
-    g_eff b_eff;
-  (* Per-arm counters from one representative bandit run (the largest
-     budget of the first benchmark): what the bandit actually learned. *)
-  let arm_stats =
-    let e = Option.get (Circuits.Suite.find (List.hd benchmarks)) in
-    let g = Graph.compact (e.Circuits.Suite.build ()) in
-    let config =
+  let sweep jobs =
+    let dir = Filename.concat root (Printf.sprintf "greedy-j%d" jobs) in
+    let spec =
       {
-        (Core.Config.default ~metric:Metrics.Er ~threshold:0.05) with
-        Core.Config.seed = 1;
-        eval_rounds = e_rounds;
-        max_iters = e_iters;
-        policy = Explore.Policy.make Explore.Policy.Bandit;
+        Explore.Sweep.dir;
+        benchmarks;
+        ladders;
+        seed = 1;
+        eval_rounds = (if smoke_mode then 256 else 2048);
+        max_iters = (if smoke_mode then 5 else 50);
+        shards = 1;
+        shard_id = 0;
+        jobs;
+        distr = Errest.Distr.Unif;
       }
     in
-    let _, report = Core.Flow.run ~config g in
-    match report.Core.Flow.policy with
-    | Some p -> Array.to_list p.Core.Flow.arm_stats
-    | None -> []
+    let t0 = wall () in
+    match Explore.Sweep.run spec with
+    | Error e ->
+        Printf.eprintf "explore bench: jobs=%d sweep failed: %s\n" jobs e;
+        exit 1
+    | Ok p ->
+        Printf.printf "greedy/j%d %d points in %.1fs wall\n%!" jobs
+          p.Explore.Sweep.total (wall () -. t0);
+        dir
   in
-  let row i =
-    let g = gp.(i) and b = bp.(i) in
-    Printf.sprintf
-      "  {\"bench\": \"%s\", \"metric\": \"%s\", \"budget\": %g, \"orig_ands\": %d, \
-       \"greedy_ands\": %d, \"bandit_ands\": %d, \"greedy_applied\": %d, \
-       \"bandit_applied\": %d, \"greedy_scored\": %d, \"bandit_scored\": %d}"
-      g.Explore.Store.bench
-      (Metrics.kind_to_string g.Explore.Store.metric)
-      g.Explore.Store.budget g.Explore.Store.orig_ands g.Explore.Store.ands
-      b.Explore.Store.ands g.Explore.Store.applied b.Explore.Store.applied
-      g.Explore.Store.scored b.Explore.Store.scored
-  in
-  let arm (a : Core.Flow.arm_stat) =
-    Printf.sprintf
-      "  {\"arm\": %d, \"first_choice\": %d, \"accepted\": %d, \"reward_sum\": %.4f}"
-      a.Core.Flow.arm a.Core.Flow.first_choice a.Core.Flow.accepted a.Core.Flow.reward_sum
-  in
-  let out = open_out "BENCH_explore.json" in
-  Printf.fprintf out
-    "{\"mode\": \"%s\", \"determinism_fronts_identical\": %b,\n\
-    \ \"greedy_mean_area_ratio\": %.4f, \"bandit_mean_area_ratio\": %.4f,\n\
-    \ \"policy_improvement_pp\": %.3f,\n\
-    \ \"greedy_accepts_per_kcand\": %.2f, \"bandit_accepts_per_kcand\": %.2f,\n\
-     \"rows\": [\n%s\n],\n\"bandit_arms\": [\n%s\n]}\n"
-    (if smoke_mode then "smoke" else "full")
-    identical g_ratio b_ratio improvement_pp g_eff b_eff
-    (String.concat ",\n" (List.map row (List.init total Fun.id)))
-    (String.concat ",\n" (List.map arm arm_stats));
-  close_out out;
-  Printf.printf "wrote BENCH_explore.json\n%!";
+  let j1 = sweep 1 in
+  let j2 = sweep 2 in
+  let identical = fronts_identical j1 j2 in
+  Printf.printf "determinism: jobs=1 vs jobs=2 front files %s\n%!"
+    (if identical then "byte-identical" else "DIFFER");
   rm_rf root;
   if not identical then begin
     Printf.eprintf "explore bench: fronts are not jobs-invariant\n";

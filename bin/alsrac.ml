@@ -168,13 +168,8 @@ let eval_cmd original approx metric sample distr =
 
 (* ---------- approx ---------- *)
 
-let parse_policy p =
-  match Explore.Policy.kind_of_string p with
-  | Some k -> Ok k
-  | None -> Error (`Msg (Printf.sprintf "unknown policy %s (greedy|bandit)" p))
-
 let approx_cmd spec metric threshold method_ seed eval_rounds mapping output journal
-    resume guard certify exact_resub jobs policy distr max_error =
+    resume guard certify exact_resub jobs distr max_error =
   let* metric = parse_metric metric in
   (* [--max-error E] is worst-case sugar: budget E on the maximum error,
      defaulting the metric to maxed unless a max metric was named
@@ -188,8 +183,25 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
         else Ok (Errest.Metrics.Maxed, e)
   in
   let* distr = parse_distr distr in
-  let* policy = parse_policy policy in
-  let* g = load spec in
+  let* () =
+    if (journal <> None || resume <> None) && method_ <> "alsrac" then
+      Error (`Msg "--journal/--resume are only supported with --method alsrac")
+    else Ok ()
+  in
+  (* A resumed run is the journal's run: its manifest's metric and
+     distribution and its original circuit stand in for [-m], [--distr] and
+     CIRCUIT, so every report line below describes the run that resumed. *)
+  let* g, metric, distr =
+    match resume with
+    | None ->
+        let* g = load spec in
+        Ok (g, metric, distr)
+    | Some dir ->
+        failure_to_msg @@ fun () ->
+        let r = Core.Journal.load dir in
+        let c = r.Core.Journal.config in
+        Ok (r.Core.Journal.original, c.Core.Config.metric, c.Core.Config.distr)
+  in
   let original = Aig.Graph.compact g in
   let* () = check_distr_npis distr original in
   let* () =
@@ -198,11 +210,6 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
     else Ok ()
   in
   let t0 = Sys.time () in
-  let* () =
-    if (journal <> None || resume <> None) && method_ <> "alsrac" then
-      Error (`Msg "--journal/--resume are only supported with --method alsrac")
-    else Ok ()
-  in
   let* () =
     if jobs <> None && method_ <> "alsrac" then
       Error (`Msg "--jobs is only supported with --method alsrac")
@@ -218,11 +225,6 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
       Error (`Msg "--exact-resub is only supported with --method alsrac")
     else Ok ()
   in
-  let* () =
-    if policy <> Explore.Policy.Greedy && method_ <> "alsrac" then
-      Error (`Msg "--policy is only supported with --method alsrac")
-    else Ok ()
-  in
   let* approx =
     match method_ with
     | "alsrac" ->
@@ -234,8 +236,7 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
             certify_exact = certify;
             exact_resub;
             distr;
-            jobs = Option.value jobs ~default:1;
-            policy = Explore.Policy.make policy }
+            jobs = Option.value jobs ~default:1 }
         in
         let* a, r =
           failure_to_msg @@ fun () ->
@@ -246,10 +247,8 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
                    threshold, seed and the rest come from the original run.
                    [--jobs] is the exception — the pool size is execution
                    policy and results are jobs-invariant, so a resume may
-                   use any pool size.  A fresh bandit hook is always on
-                   offer; the journal binds it only when the manifest names
-                   the bandit, and restores its checkpointed state. *)
-                Core.Flow.resume ?jobs ~policy:(Explore.Policy.hook ()) dir
+                   use any pool size. *)
+                Core.Flow.resume ?jobs dir
             | None -> Core.Flow.run ?journal ~config g)
         in
         Printf.printf "alsrac: %d LACs applied%s, sampled %s = %s\n"
@@ -304,21 +303,6 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
               s.Core.Resub_exact.derived s.Core.Resub_exact.sim_refuted
               s.Core.Resub_exact.cec_undecided s.Core.Resub_exact.cec_refuted
               s.Core.Resub_exact.batch.Errest.Batch.scored
-        | None -> ());
-        (match r.Core.Flow.policy with
-        | Some p ->
-            let active =
-              Array.to_list p.Core.Flow.arm_stats
-              |> List.filter (fun (a : Core.Flow.arm_stat) -> a.Core.Flow.accepted > 0)
-            in
-            Printf.printf "policy %s: accepted per arm %s\n" p.Core.Flow.policy_name
-              (if active = [] then "(none)"
-               else
-                 String.concat ", "
-                   (List.map
-                      (fun (a : Core.Flow.arm_stat) ->
-                        Printf.sprintf "%d:%d" a.Core.Flow.arm a.Core.Flow.accepted)
-                      active))
         | None -> ());
         if Array.length r.Core.Flow.pool > 1 then begin
           Printf.printf "parallel: %s (wall %.1fs, cpu %.1fs)\n"
@@ -436,12 +420,11 @@ let map_cmd spec target output =
 
 (* ---------- explore ---------- *)
 
-let explore_cmd dir benchmarks ladder policy seed eval_rounds max_iters shards shard_id
-    jobs quiet distr =
+let explore_cmd dir benchmarks ladder seed eval_rounds max_iters shards shard_id jobs
+    quiet distr =
   let* ladders =
     match Explore.Ladder.parse ladder with Ok l -> Ok l | Error e -> Error (`Msg e)
   in
-  let* policy = parse_policy policy in
   let* distr = parse_distr distr in
   let spec =
     {
@@ -451,7 +434,6 @@ let explore_cmd dir benchmarks ladder policy seed eval_rounds max_iters shards s
         |> List.map String.trim
         |> List.filter (fun b -> b <> "");
       ladders;
-      policy;
       seed;
       eval_rounds;
       max_iters;
@@ -462,7 +444,9 @@ let explore_cmd dir benchmarks ladder policy seed eval_rounds max_iters shards s
     }
   in
   let log = if quiet then fun _ -> () else print_endline in
-  match Explore.Sweep.run ~log spec with
+  (* An unreadable or unsupported stored manifest raises [Failure]. *)
+  let* r = failure_to_msg (fun () -> Ok (Explore.Sweep.run ~log spec)) in
+  match r with
   | Error e -> Error (`Msg e)
   | Ok p ->
       let m = p.Explore.Sweep.manifest in
@@ -713,22 +697,14 @@ let eval_term =
 let eval_cmd' =
   Cmd.v (Cmd.info "eval" ~doc:"Measure the error between two circuits") eval_term
 
-let policy_arg =
-  Arg.(value & opt string "greedy" & info [ "policy" ] ~docv:"POLICY"
-         ~doc:"Candidate-selection policy: greedy (smallest error first, the \
-               paper's order) or bandit (UCB1 over transform-family x \
-               node-depth arms, learning which candidate kinds pay off).  \
-               Deterministic either way; the bandit's state is journaled, so \
-               killed runs resume to the identical result.")
-
 let approx_term =
   Term.(
     const
       (fun spec metric threshold method_ seed eval_rounds mapping output journal resume
-           guard certify exact_resub jobs policy distr max_error ->
+           guard certify exact_resub jobs distr max_error ->
         exits_of_result
           (approx_cmd spec metric threshold method_ seed eval_rounds mapping output
-             journal resume guard certify exact_resub jobs policy distr max_error))
+             journal resume guard certify exact_resub jobs distr max_error))
     $ circuit_arg $ metric_arg
     $ Arg.(value & opt float 0.01 & info [ "t"; "threshold" ] ~docv:"E"
              ~doc:"Error threshold (fraction, e.g. 0.01 for 1%).")
@@ -744,8 +720,9 @@ let approx_term =
     $ Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR"
              ~doc:"Resume an interrupted journaled run from $(docv).  The \
                    journal's recorded configuration (metric, threshold, seed, ...) \
-                   supersedes the command line; the seeded RNG makes the resumed \
-                   run finish with the exact circuit of an uninterrupted one.")
+                   and original circuit supersede the command line, CIRCUIT \
+                   included; the seeded RNG makes the resumed run finish with \
+                   the exact circuit of an uninterrupted one.")
     $ Arg.(value & opt bool true & info [ "guard" ] ~docv:"BOOL"
              ~doc:"Guarded transforms: verify structural invariants and \
                    signature consistency after every accepted change, rolling \
@@ -769,7 +746,6 @@ let approx_term =
                    N > 1 spawns N-1 worker domains.  Results are bit-identical \
                    at every setting, so $(docv) may also differ between a \
                    journaled run and its $(b,--resume).")
-    $ policy_arg
     $ distr_arg
     $ Arg.(value & opt (some float) None & info [ "max-error" ] ~docv:"E"
              ~doc:"Worst-case constraint sugar: synthesize under a maximum \
@@ -818,11 +794,11 @@ let map_cmd' = Cmd.v (Cmd.info "map" ~doc:"Technology mapping (LUT or standard c
 let explore_term =
   Term.(
     const
-      (fun dir benchmarks ladder policy seed eval_rounds max_iters shards shard_id jobs
-           quiet distr ->
+      (fun dir benchmarks ladder seed eval_rounds max_iters shards shard_id jobs quiet
+           distr ->
         exits_of_result
-          (explore_cmd dir benchmarks ladder policy seed eval_rounds max_iters shards
-             shard_id jobs quiet distr))
+          (explore_cmd dir benchmarks ladder seed eval_rounds max_iters shards shard_id
+             jobs quiet distr))
     $ Arg.(required & opt (some string) None & info [ "d"; "dir" ] ~docv:"DIR"
              ~doc:"Sweep directory: manifest, per-point results and Pareto front \
                    files live here.  Restarting onto an existing directory \
@@ -835,7 +811,6 @@ let explore_term =
              ~doc:"Error-budget ladders: semicolon-separated metric=b1,b2,... \
                    groups, e.g. $(b,er=0.01,0.03;nmed=0.001), or $(b,default) \
                    for the paper-shaped ER/NMED/MRED sweep.")
-    $ policy_arg
     $ Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S"
              ~doc:"Base PRNG seed; point $(i,i) runs the flow with seed S+i.")
     $ Arg.(value & opt int 4096 & info [ "eval-rounds" ] ~docv:"N"

@@ -1,18 +1,6 @@
 type resyn_level = No_resyn | Light | Compress2
 
-type policy_hook = {
-  policy_name : string;
-  arms : int;
-  classify : depth_frac:float -> ndivisors:int -> int;
-  choose : unit -> int array;
-  feed : arm:int -> reward:float -> unit;
-  policy_state : unit -> string;
-  restore_state : string -> unit;
-}
-
-type policy = Greedy | Hook of policy_hook
-
-let policy_name = function Greedy -> "greedy" | Hook h -> h.policy_name
+type policy = Greedy
 
 type t = {
   metric : Errest.Metrics.kind;
@@ -72,15 +60,3 @@ let default ~metric ~threshold =
     jobs = 1;
     policy = Greedy;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "metric=%s threshold=%g N=%d L=%d t=%d r=%g eval=%d seed=%d jobs=%d policy=%s \
-     distr=%s"
-    (Errest.Metrics.kind_to_string t.metric)
-    t.threshold t.sim_rounds t.lac_limit t.patience t.scale t.eval_rounds t.seed
-    t.jobs (policy_name t.policy)
-    (match t.distr with
-    | Errest.Distr.Unif -> "unif"
-    | Errest.Distr.Enum { rows; _ } ->
-        Printf.sprintf "enum(%d rows)" (Array.length rows))

@@ -30,18 +30,6 @@ type certify = {
   lac_max_deviation : float;
 }
 
-type arm_stat = {
-  arm : int;
-  first_choice : int;
-  accepted : int;
-  reward_sum : float;
-}
-
-type policy_report = {
-  policy_name : string;
-  arm_stats : arm_stat array;
-}
-
 type bound_family = Hoeffding | Exhaustive | Max_miter
 
 type certificate = { upper : float; family : bound_family }
@@ -70,7 +58,6 @@ type report = {
   resub : Resub_exact.stats option;
   events : event list;
   certify : certify option;
-  policy : policy_report option;
 }
 
 let log_src = Logs.Src.create "alsrac.flow" ~doc:"ALSRAC flow progress"
@@ -176,11 +163,8 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
   let accepts_since_full = ref (field (fun s -> s.Journal.accepts_since_full) 0) in
   let quarantine : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   field (fun s -> List.iter (fun h -> Hashtbl.replace quarantine h ()) s.Journal.quarantined) ();
-  (* Certification counters are per-process observations (like fault plans,
-     they are not journaled): a resumed run's verdicts cover the resumed
-     portion only. *)
-  (* Scoring-kernel counters (same per-process policy as the certification
-     counters below: observational, not journaled). *)
+  (* Scoring-kernel counters: observational and per-process, not journaled
+     (a resumed run reports the resumed portion only). *)
   let scoring = ref Errest.Batch.zero_stats in
   (* Exact-resubstitution pass ([Config.exact_resub]): threaded into every
      [Compress2] invocation as [Aig.Resyn]'s fourth pass.  Exact and
@@ -203,20 +187,9 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
           g')
     else None
   in
-  (* Per-arm policy counters (observational).  The hook's own reward state,
-     by contrast, IS journaled — restored here so a resumed run replays the
-     uninterrupted run's arm choices exactly. *)
-  let pol_first, pol_accepted, pol_reward =
-    match config.policy with
-    | Config.Hook h ->
-        (Array.make h.Config.arms 0, Array.make h.Config.arms 0,
-         Array.make h.Config.arms 0.0)
-    | Config.Greedy -> ([||], [||], [||])
-  in
-  (match (config.policy, init) with
-  | Config.Hook h, Some s when s.Journal.policy_state <> "" ->
-      h.Config.restore_state s.Journal.policy_state
-  | _ -> ());
+  (* Certification counters are per-process observations (like fault plans,
+     they are not journaled): a resumed run's verdicts cover the resumed
+     portion only. *)
   let cert_exact_checks = ref 0
   and cert_exact_confirmed = ref 0
   and cert_exact_undecided = ref 0
@@ -268,10 +241,7 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
       recovered_exns = !recovered_exns;
       quarantined =
         List.sort compare (Hashtbl.fold (fun h () acc -> h :: acc) quarantine []);
-      policy_state =
-        (match config.policy with
-        | Config.Hook h -> h.Config.policy_state ()
-        | Config.Greedy -> "");
+      policy_state = "";
       events = !events;
     }
   in
@@ -401,74 +371,17 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
             if c <> 0 then c else compare l2.Lac.gain l1.Lac.gain)
           scored
       in
-      (* Candidate-selection policy (DESIGN.md section 12).  Greedy is the
-         paper's order: the ranked list as-is, so the code path below is
-         bit-identical to the historical flow.  A policy hook re-prioritizes
-         the within-budget candidates by arm — (transform family, node
-         region) buckets — in the hook's chosen arm order, preserving the
-         greedy order inside each arm.  The budget-exhaustion decision
-         (Algorithm 3 line 7) always looks at the globally smallest error,
-         so a policy can never terminate a run the greedy order would have
-         continued. *)
       let budget = config.threshold *. config.margin in
-      let ands_before = Graph.num_ands !g in
-      let accepted_arm = ref (-1) in
-      let first_arm = ref (-1) in
-      let ordered =
-        match config.policy with
-        | Config.Greedy -> List.map (fun (e, l) -> (e, l, -1)) ranked
-        | Config.Hook h ->
-            let min_err = match ranked with (e, _) :: _ -> e | [] -> infinity in
-            if min_err > budget then
-              (* Leave one over-budget candidate at the head: [try_apply]
-                 turns it into the same [`Over_budget] verdict greedy
-                 reaches. *)
-              List.map (fun (e, l) -> (e, l, -1)) ranked
-            else begin
-              let levels = Aig.Topo.levels !g in
-              let gdepth = float_of_int (max 1 (Aig.Topo.depth !g)) in
-              let with_arms =
-                List.filter_map
-                  (fun (e, (lac : Lac.t)) ->
-                    if e > budget then None
-                    else
-                      let depth_frac =
-                        float_of_int levels.(lac.Lac.target) /. gdepth
-                      in
-                      let a =
-                        h.Config.classify ~depth_frac
-                          ~ndivisors:(Array.length lac.Lac.divisors)
-                      in
-                      Some (e, lac, if a >= 0 && a < h.Config.arms then a else 0))
-                  ranked
-              in
-              let rank = Array.make h.Config.arms max_int in
-              Array.iteri
-                (fun i a -> if a >= 0 && a < h.Config.arms && rank.(a) = max_int then rank.(a) <- i)
-                (h.Config.choose ());
-              let ordered =
-                List.stable_sort
-                  (fun (_, _, a1) (_, _, a2) -> compare rank.(a1) rank.(a2))
-                  with_arms
-              in
-              (match ordered with
-              | (_, _, a) :: _ ->
-                  first_arm := a;
-                  pol_first.(a) <- pol_first.(a) + 1
-              | [] -> ());
-              ordered
-            end
-      in
       let corrupt_pending = ref (Fault.corrupt_lac config.fault ~iteration:!iteration) in
       let rec try_apply ~skipped = function
         | [] -> `No_progress
-        | (err, _, _) :: _ when err > budget ->
+        | (err, _) :: _ when err > budget ->
             (* Smallest remaining error exceeds the budget.  If that holds
                for the very best candidate, terminate (Algorithm 3 line 7);
                if we only got here by skipping no-op candidates, let fresh
                patterns try again first. *)
             if skipped then `No_progress else `Over_budget
-        | (err, (lac : Lac.t), arm) :: rest ->
+        | (err, (lac : Lac.t)) :: rest ->
             let replacement =
               if !corrupt_pending then begin
                 (* Injected ISOP corruption: commit a constant in place of
@@ -514,7 +427,6 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
                 | None ->
                     g := optimized;
                     incr applied;
-                    accepted_arm := arm;
                     last_error := err;
                     (* Independent cross-check of the accepted LAC: its
                        predicted error must re-measure consistently on a
@@ -595,28 +507,9 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
               try_apply ~skipped:true rest
             end
       in
-      match try_apply ~skipped:false ordered with
+      match try_apply ~skipped:false ranked with
       | `Applied ->
           patience := 0;
-          (* Reward the accepted candidate's arm BEFORE checkpointing, so
-             the journaled policy state already reflects this iteration and
-             a resume replays the next choice identically.  The reward is
-             the area saved per candidate scored this iteration — arm
-             productivity per unit of scoring work, straight from the
-             scoring-kernel counters. *)
-          (match config.policy with
-          | Config.Hook h when !accepted_arm >= 0 ->
-              let scored_now = (Errest.Batch.stats batch).Errest.Batch.scored in
-              let reward =
-                Float.min 1.0
-                  (Float.max 0.0
-                     (float_of_int (ands_before - Graph.num_ands !g)
-                     /. float_of_int (max 1 scored_now)))
-              in
-              h.Config.feed ~arm:!accepted_arm ~reward;
-              pol_accepted.(!accepted_arm) <- pol_accepted.(!accepted_arm) + 1;
-              pol_reward.(!accepted_arm) <- pol_reward.(!accepted_arm) +. reward
-          | Config.Hook _ | Config.Greedy -> ());
           (match journal with Some j -> Journal.record j (snapshot ()) !g | None -> ());
           if Graph.num_ands !g = 0 then begin
             stop_reason := Emptied;
@@ -626,12 +519,6 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
           stop_reason := Budget_exhausted;
           finished := true
       | `No_progress ->
-          (* The arm the policy bet on produced nothing: a zero-reward pull,
-             fed before any later checkpoint so resumes stay aligned. *)
-          (match config.policy with
-          | Config.Hook h when !first_arm >= 0 ->
-              h.Config.feed ~arm:!first_arm ~reward:0.0
-          | Config.Hook _ | Config.Greedy -> ());
           (* All candidates were no-ops: treat like an empty candidate set
              so the dynamic-N schedule can unblock us. *)
           shrink_rounds ()
@@ -665,9 +552,10 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
         finished := true
       end
   done;
-  if (not !finished) && !applied >= config.max_iters then stop_reason := Max_iters;
-  if Parallel.Clock.now_s () -. w_start >= config.max_seconds then
-    stop_reason := Timed_out;
+  (* A reason the loop decided stands; otherwise the loop condition that
+     failed — the iteration cap, checked first, or the clock — names it. *)
+  if not !finished then
+    stop_reason := if !applied >= config.max_iters then Max_iters else Timed_out;
   (match config.resyn with
   | Config.Compress2 ->
       let final = Aig.Resyn.compress2 ?resub !g in
@@ -771,22 +659,6 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
                lac_max_deviation = !cert_lac_maxdev;
              }
          else None);
-      policy =
-        (match config.policy with
-        | Config.Hook h ->
-            Some
-              {
-                policy_name = h.Config.policy_name;
-                arm_stats =
-                  Array.init h.Config.arms (fun a ->
-                      {
-                        arm = a;
-                        first_choice = pol_first.(a);
-                        accepted = pol_accepted.(a);
-                        reward_sum = pol_reward.(a);
-                      });
-              }
-        | Config.Greedy -> None);
     } )
 
 let no_cancel () = false
@@ -820,8 +692,8 @@ let run ?journal ?(cancel = no_cancel) ?pool ~(config : Config.t) g0 =
   with_run_pool ?pool ~jobs:config.jobs ~cancel (fun pool ->
       run_loop ~config ~pool ~cancel ~journal:j ~original ~init:None original)
 
-let resume ?(fault = Fault.none) ?jobs ?policy ?(cancel = no_cancel) ?pool dir =
-  let r = Journal.load ?policy dir in
+let resume ?(fault = Fault.none) ?jobs ?(cancel = no_cancel) ?pool dir =
+  let r = Journal.load dir in
   (match r.Journal.degraded with
   | Some msg -> Log.warn (fun m -> m "resume: %s" msg)
   | None -> ());

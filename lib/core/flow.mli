@@ -60,22 +60,6 @@ type certify = {
     function, and accepted LACs err as predicted.  Counters are per-process
     (not journaled): a resumed run reports the resumed portion only. *)
 
-type arm_stat = {
-  arm : int;
-  first_choice : int;
-      (** iterations in which this arm held the highest-priority candidate *)
-  accepted : int;  (** accepted LACs classified into this arm *)
-  reward_sum : float;  (** total reward fed to the hook for this arm *)
-}
-
-type policy_report = {
-  policy_name : string;
-  arm_stats : arm_stat array;  (** indexed by arm *)
-}
-(** Per-arm counters of a [Config.Hook] candidate-selection policy.
-    Observational and per-process (like {!certify} and [scoring]): the
-    hook's own reward state is journaled, these counters are not. *)
-
 exception Cancelled
 (** Raised by {!run}/{!resume} when the [?cancel] hook fires: at the next
     iteration boundary, or at the next pool chunk boundary inside
@@ -91,7 +75,10 @@ type stop_reason =
           recovered-exception cap was hit *)
   | Max_iters
   | Emptied  (** the circuit shrank to constants *)
-  | Timed_out  (** the [max_seconds] wall-clock budget ran out *)
+  | Timed_out
+      (** the [max_seconds] wall-clock budget ended the loop; a reason the
+          loop reached on its own is reported even if the clock has since
+          run out *)
 
 val stop_reason_to_string : stop_reason -> string
 (** Kebab-case name: ["budget-exhausted"], ["stalled"], ["max-iters"],
@@ -155,8 +142,6 @@ type report = {
   events : event list;  (** in application order, including pre-resume *)
   certify : certify option;
       (** verification verdicts; [None] unless [Config.certify_exact] *)
-  policy : policy_report option;
-      (** per-arm policy counters; [None] under the greedy policy *)
 }
 
 val run :
@@ -184,7 +169,6 @@ val run :
 val resume :
   ?fault:Fault.plan ->
   ?jobs:int ->
-  ?policy:Config.policy_hook ->
   ?cancel:(unit -> bool) ->
   ?pool:Parallel.Pool.t ->
   string ->

@@ -107,9 +107,7 @@ let config_to_string (c : Config.t) =
   kv "certify_exact" (string_of_bool c.certify_exact);
   kv "exact_resub" (string_of_bool c.exact_resub);
   kv "jobs" (string_of_int c.jobs);
-  (* The policy is persisted by name only; its (code) hook is re-supplied by
-     the resuming caller and its internal state checkpointed per snapshot. *)
-  kv "policy" (Config.policy_name c.policy);
+  kv "policy" "greedy";
   (* The fault plan is deliberately NOT persisted: injected faults belong to
      one process's run, not to the journal a resumed run continues from. *)
   Buffer.contents buf
@@ -119,20 +117,8 @@ let parse_bool_exn what s =
   | Some b -> b
   | None -> failwith (Printf.sprintf "journal: bad boolean for %s: %S" what s)
 
-let config_of_string ?policy text =
+let config_of_string text =
   let c = ref (Config.default ~metric:Errest.Metrics.Er ~threshold:0.0) in
-  let resolve_policy name =
-    match (name, policy) with
-    | "greedy", _ -> Config.Greedy
-    | _, Some (h : Config.policy_hook) when h.Config.policy_name = name ->
-        Config.Hook h
-    | _ ->
-        failwith
-          (Printf.sprintf
-             "journal: run used candidate-selection policy %S; resume must \
-              supply the same policy hook"
-             name)
-  in
   String.split_on_char '\n' text
   |> List.iter (fun line ->
          let line = String.trim line in
@@ -189,7 +175,13 @@ let config_of_string ?policy text =
            | "exact_resub" ->
                c := { !c with Config.exact_resub = parse_bool_exn key value }
            | "jobs" -> c := { !c with Config.jobs = parse_int_exn key value }
-           | "policy" -> c := { !c with Config.policy = resolve_policy value }
+           | "policy" ->
+               if value <> "greedy" then
+                 failwith
+                   (Printf.sprintf
+                      "journal: run used candidate-selection policy %S, which \
+                       has been removed; only greedy runs can be resumed"
+                      value)
            | _ -> failwith (Printf.sprintf "journal: unknown config key %S" key));
   !c
 
@@ -216,9 +208,7 @@ let state_to_string state graph_text =
   kv "recovered_exns" (string_of_int state.recovered_exns);
   kv "quarantined"
     (String.concat " " (List.map string_of_int state.quarantined));
-  if String.contains state.policy_state '\n' then
-    failwith "journal: policy state must be a single line";
-  kv "policy_state" state.policy_state;
+  kv "policy_state" "";
   kv "events" (string_of_int (List.length state.events));
   List.iter
     (fun (e : event) ->
@@ -275,7 +265,7 @@ let parse_checkpoint text =
     |> List.filter (fun s -> s <> "")
     |> List.map (parse_int_exn "quarantined")
   in
-  let policy_state = field "policy_state" in
+  ignore (field "policy_state");
   let nevents = parse_int_exn "events" (field "events") in
   if nevents < 0 then failwith "journal: negative event count";
   (* Each event is one line: bound the claimed count by the bytes left. *)
@@ -317,7 +307,7 @@ let parse_checkpoint text =
       guard_rejects;
       recovered_exns;
       quarantined;
-      policy_state;
+      policy_state = "";
       events;
     },
     graph )
@@ -355,7 +345,7 @@ let record t state graph =
   if Sys.file_exists cp then Sys.rename cp (checkpoint_prev_file t.dir);
   Circuit_io.Atomic_file.write cp contents
 
-let load_manifest ?policy dir =
+let load_manifest dir =
   let path = manifest_file dir in
   let text =
     try Circuit_io.Atomic_file.read path
@@ -371,16 +361,16 @@ let load_manifest ?policy dir =
             String.concat "\n" (List.rev rev_rest)
         | _ -> failwith "journal: truncated manifest"
       in
-      config_of_string ?policy body
+      config_of_string body
   | _ -> failwith "journal: bad manifest header"
 
-let load ?policy dir =
+let load dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     failwith (Printf.sprintf "journal: %s is not a journal directory" dir);
   (* Same kill-crash debris leak the point stores had: a run killed inside
      [Atomic_file.write] strands the staged temp next to the checkpoint. *)
   Circuit_io.Atomic_file.sweep_debris dir;
-  let config = load_manifest ?policy dir in
+  let config = load_manifest dir in
   let original =
     try Circuit_io.Aiger.read (original_file dir)
     with Sys_error msg ->

@@ -46,8 +46,7 @@ type state = {
   recovered_exns : int;
   quarantined : int list;  (** signature hashes of quarantined targets *)
   policy_state : string;
-      (** serialized candidate-selection-policy state
-          ([Config.policy_hook.policy_state]); [""] for the greedy policy *)
+      (** always [""]: checkpoints keep an empty [policy_state] line *)
   events : event list;  (** newest first, as the flow accumulates them *)
 }
 
@@ -79,22 +78,19 @@ type resume = {
       (** set when a corrupt/torn checkpoint was skipped over *)
 }
 
-val load : ?policy:Config.policy_hook -> string -> resume
+val load : string -> resume
 (** Read a journal directory back.  Corrupt or truncated checkpoints are
     tolerated (see module description); a missing or corrupt manifest or
     original circuit raises [Failure] — without them there is nothing
-    meaningful to resume.  [?policy] resolves a manifest that names a
-    non-greedy candidate-selection policy: the hook's name must match the
-    manifest's, or the load fails (a policy is code; only its name and
-    per-checkpoint state are persisted). *)
+    meaningful to resume. *)
 
 (** {1 Config serialization} (exposed for tests) *)
 
 val config_to_string : Config.t -> string
 (** One [key value] line per field.  The {!Config.t.fault} plan is not
-    persisted: injected faults belong to a process, not to the run; the
-    {!Config.t.policy} is persisted by name only. *)
+    persisted: injected faults belong to a process, not to the run.  The
+    policy line always reads [policy greedy]. *)
 
-val config_of_string : ?policy:Config.policy_hook -> string -> Config.t
-(** Inverse of {!config_to_string}; unknown keys raise [Failure], as does a
-    non-greedy policy name that [?policy] does not supply. *)
+val config_of_string : string -> Config.t
+(** Inverse of {!config_to_string}; unknown keys raise [Failure], as does
+    any policy other than [greedy] (the message names it). *)

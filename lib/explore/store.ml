@@ -1,7 +1,6 @@
 type manifest = {
   benchmarks : string list;
   ladders : Ladder.t list;
-  policy : Policy.kind;
   seed : int;
   eval_rounds : int;
   max_iters : int;
@@ -78,7 +77,7 @@ let manifest_to_string m =
       [
         ("benchmarks", String.concat "," m.benchmarks);
         ("ladder", Ladder.to_spec m.ladders);
-        ("policy", Policy.kind_to_string m.policy);
+        ("policy", "greedy");
         ("seed", string_of_int m.seed);
         ("eval_rounds", string_of_int m.eval_rounds);
         ("max_iters", string_of_int m.max_iters);
@@ -97,16 +96,17 @@ let manifest_of_string text =
         | Ok ls -> ls
         | Error e -> failwith (Printf.sprintf "%s: %s" what e)
       in
-      let policy =
-        let p = field ~what kvs "policy" in
-        match Policy.kind_of_string p with
-        | Some k -> k
-        | None -> failwith (Printf.sprintf "%s: unknown policy %S" what p)
-      in
+      (match field ~what kvs "policy" with
+      | "greedy" -> ()
+      | p ->
+          failwith
+            (Printf.sprintf
+               "%s: sweep used candidate-selection policy %S, which has been \
+                removed; only greedy sweeps can be resumed"
+               what p));
       {
         benchmarks = String.split_on_char ',' (field ~what kvs "benchmarks");
         ladders;
-        policy;
         seed = int_field ~what kvs "seed";
         eval_rounds = int_field ~what kvs "eval_rounds";
         max_iters = int_field ~what kvs "max_iters";

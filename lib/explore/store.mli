@@ -3,8 +3,8 @@
 
     A sweep directory holds:
 
-    - [manifest] — the sweep's identity (benchmarks, ladders, policy,
-      seed, flow knobs), written once, atomically.  On resume the
+    - [manifest] — the sweep's identity (benchmarks, ladders, seed, flow
+      knobs), written once, atomically.  On resume the
       manifest {e supersedes} the command line, exactly like the flow
       journal: a sweep's work list may never drift between restarts.
     - [points/point-NNNNNN] — one file per completed (benchmark, metric,
@@ -23,7 +23,6 @@
 type manifest = {
   benchmarks : string list;  (** suite names, in sweep order *)
   ladders : Ladder.t list;
-  policy : Policy.kind;
   seed : int;  (** base seed; point [i] runs the flow with [seed + i] *)
   eval_rounds : int;
   max_iters : int;
@@ -67,7 +66,11 @@ val load_manifest : string -> manifest option
     one. *)
 
 val manifest_to_string : manifest -> string
+(** Includes a constant [policy greedy] line. *)
+
 val manifest_of_string : string -> manifest
+(** Raises [Failure] on a malformed manifest, and on one that names any
+    policy other than [greedy] (the message names it). *)
 
 val point_path : string -> int -> string
 

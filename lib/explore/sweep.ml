@@ -2,7 +2,6 @@ type spec = {
   dir : string;
   benchmarks : string list;
   ladders : Ladder.t list;
-  policy : Policy.kind;
   seed : int;
   eval_rounds : int;
   max_iters : int;
@@ -55,9 +54,8 @@ let validate_benchmarks names =
       | None -> Ok ())
 
 (* One point = one complete flow plus both technology mappings.  Pure in
-   (manifest, index): sequential flow (jobs = 1), per-point seed, fresh
-   policy hook, unbounded wall clock — nothing here may observe the
-   execution layout. *)
+   (manifest, index): sequential flow (jobs = 1), per-point seed, unbounded
+   wall clock — nothing here may observe the execution layout. *)
 let run_point (m : Store.manifest) (it : item) =
   let entry = Option.get (Circuits.Suite.find it.bench) in
   let g = Aig.Graph.compact (entry.Circuits.Suite.build ()) in
@@ -67,7 +65,6 @@ let run_point (m : Store.manifest) (it : item) =
       Core.Config.seed = m.seed + it.index;
       eval_rounds = m.eval_rounds;
       max_iters = m.max_iters;
-      policy = Policy.make m.policy;
       distr = m.distr;
       jobs = 1;
     }
@@ -110,7 +107,6 @@ let run ?(log = fun _ -> ()) spec =
       {
         Store.benchmarks = spec.benchmarks;
         ladders = spec.ladders;
-        policy = spec.policy;
         seed = spec.seed;
         eval_rounds = spec.eval_rounds;
         max_iters = spec.max_iters;

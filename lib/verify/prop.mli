@@ -51,7 +51,7 @@ val check_exn :
 (** {1 Generic values}
 
     The same check-and-shrink discipline for properties over arbitrary
-    values (Pareto fronts, policy states, work lists ...), with
+    values (Pareto fronts, sampled error sequences ...), with
     caller-supplied generation and shrinking. *)
 
 type 'a value_failure = {

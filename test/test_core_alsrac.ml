@@ -461,6 +461,39 @@ let test_stop_reason_strings () =
       (Core.Flow.Timed_out, "timed-out");
     ]
 
+(* The stop reason names what ended the loop.  At ER threshold -1 every
+   candidate of the first iteration is over budget, so the run ends
+   budget-exhausted; it still does when the clock passes [max_seconds]
+   during that iteration, here because the cancel hook sleeps past it on
+   its first poll (at jobs = 1, the loop's own check before iteration 1).
+   At a 5% threshold the first iteration leaves the run going, so the
+   clock ends the loop and the reason is timed-out. *)
+let test_stop_reason_not_overwritten () =
+  let c880 () = (Option.get (Circuits.Suite.find "c880")).Circuits.Suite.build () in
+  let max_seconds = 2.0 in
+  let sleep_past_budget () =
+    let polled = ref false in
+    fun () ->
+      if not !polled then begin
+        polled := true;
+        Unix.sleepf (max_seconds +. 0.1)
+      end;
+      false
+  in
+  let stop ?cancel threshold =
+    let config =
+      { (Core.Config.default ~metric:Errest.Metrics.Er ~threshold) with
+        Core.Config.max_seconds }
+    in
+    let _, r = Core.Flow.run ?cancel ~config (c880 ()) in
+    Core.Flow.stop_reason_to_string r.Core.Flow.stop_reason
+  in
+  Alcotest.(check string) "plain run" "budget-exhausted" (stop (-1.0));
+  Alcotest.(check string) "clock passed during the deciding iteration"
+    "budget-exhausted" (stop ~cancel:(sleep_past_budget ()) (-1.0));
+  Alcotest.(check string) "clock ended the loop" "timed-out"
+    (stop ~cancel:(sleep_past_budget ()) 0.05)
+
 let () =
   Alcotest.run "core-alsrac"
     [
@@ -495,5 +528,7 @@ let () =
           Alcotest.test_case "odc masked scan" `Quick test_odc_masked_scan;
           Alcotest.test_case "odc flow" `Quick test_flow_with_odc;
           Alcotest.test_case "stop reason strings" `Quick test_stop_reason_strings;
+          Alcotest.test_case "stop reason not overwritten" `Quick
+            test_stop_reason_not_overwritten;
         ] );
     ]

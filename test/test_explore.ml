@@ -1,7 +1,7 @@
 (* lib/explore: canonical Pareto fronts (unit + property tests), budget
-   ladders, the UCB1 bandit policy (including journaled kill/resume), and
-   the corpus sweep's resume/shard/jobs determinism — down to a SIGKILL of
-   the real CLI mid-corpus. *)
+   ladders, the sweep manifest's on-disk format, and the corpus sweep's
+   resume/shard/jobs determinism — down to a SIGKILL of the real CLI
+   mid-corpus. *)
 
 module F = Explore.Front
 module Rng = Logic.Rng
@@ -161,108 +161,6 @@ let test_ladder_max_budgets () =
       | Error e -> Alcotest.fail e)
   | Error e -> Alcotest.fail e
 
-(* ---------- Policy ---------- *)
-
-let test_policy_classify_bounds () =
-  let rng = Rng.create 11 in
-  for _ = 1 to 1000 do
-    let a =
-      Explore.Policy.classify
-        ~depth_frac:(Rng.float rng *. 1.5)
-        ~ndivisors:(Rng.int rng 9)
-    in
-    check "arm in range" true (a >= 0 && a < Explore.Policy.arms)
-  done
-
-let is_permutation order =
-  let seen = Array.make Explore.Policy.arms false in
-  Array.length order = Explore.Policy.arms
-  && Array.for_all
-       (fun a ->
-         a >= 0 && a < Explore.Policy.arms && not seen.(a) && (seen.(a) <- true; true))
-       order
-
-let test_policy_deterministic_and_restorable () =
-  let feed_script h =
-    List.iter
-      (fun (arm, reward) -> h.Core.Config.feed ~arm ~reward)
-      [ (3, 0.5); (3, 0.25); (7, 0.9); (1, 0.0); (7, 0.8); (11, 0.1) ]
-  in
-  let h1 = Explore.Policy.hook () and h2 = Explore.Policy.hook () in
-  check "untried order is by index" true
-    (h1.Core.Config.choose () = Array.init Explore.Policy.arms Fun.id);
-  feed_script h1;
-  feed_script h2;
-  check "permutation" true (is_permutation (h1.Core.Config.choose ()));
-  check "same history, same order" true
-    (h1.Core.Config.choose () = h2.Core.Config.choose ());
-  let h3 = Explore.Policy.hook () in
-  h3.Core.Config.restore_state (h1.Core.Config.policy_state ());
-  check "state restore preserves order" true
-    (h1.Core.Config.choose () = h3.Core.Config.choose ());
-  check_str "state serialization is stable"
-    (h1.Core.Config.policy_state ())
-    (h3.Core.Config.policy_state ());
-  match h3.Core.Config.restore_state "ucb1 garbage" with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ()
-
-(* ---------- Flow with the bandit: determinism and kill/resume ---------- *)
-
-let bandit_config =
-  { (Core.Config.default ~metric:Errest.Metrics.Er ~threshold:0.05) with
-    Core.Config.eval_rounds = 1024; max_iters = 12; seed = 7;
-    policy = Explore.Policy.make Explore.Policy.Bandit }
-
-let circuit () = Circuits.Epfl_control.cavlc ()
-
-let bandit_baseline =
-  lazy
-    (Core.Flow.run
-       ~config:{ bandit_config with Core.Config.policy = Explore.Policy.make Explore.Policy.Bandit }
-       (circuit ()))
-
-let test_bandit_flow_deterministic () =
-  let a1, r1 = Lazy.force bandit_baseline in
-  let a2, r2 =
-    Core.Flow.run
-      ~config:{ bandit_config with Core.Config.policy = Explore.Policy.make Explore.Policy.Bandit }
-      (circuit ())
-  in
-  check "bandit accepted something" true (r1.Core.Flow.applied > 0);
-  check_int "same ands" (Aig.Graph.num_ands a1) (Aig.Graph.num_ands a2);
-  check "same events" true (r1.Core.Flow.events = r2.Core.Flow.events);
-  match r1.Core.Flow.policy with
-  | Some pr ->
-      check_str "reported policy name" Explore.Policy.bandit_name
-        pr.Core.Flow.policy_name;
-      check_int "arm stats cover all arms" Explore.Policy.arms
-        (Array.length pr.Core.Flow.arm_stats)
-  | None -> Alcotest.fail "bandit run reported no policy stats"
-
-let test_bandit_kill_and_resume () =
-  let a_full, r_full = Lazy.force bandit_baseline in
-  check "baseline applied enough LACs" true (r_full.Core.Flow.applied >= 4);
-  let dir = fresh_dir () in
-  let config =
-    { bandit_config with
-      Core.Config.policy = Explore.Policy.make Explore.Policy.Bandit;
-      fault = [ Core.Fault.Kill_after { applied = 3 } ] }
-  in
-  (match Core.Flow.run ~journal:dir ~config (circuit ()) with
-  | _ -> Alcotest.fail "expected the injected kill to fire"
-  | exception Core.Fault.Killed -> ());
-  (* Resuming without the bandit hook must refuse: the policy is code,
-     the journal only names it. *)
-  (match Core.Flow.resume dir with
-  | _ -> Alcotest.fail "resume without the policy hook should fail"
-  | exception Failure _ -> ());
-  let a_res, r_res = Core.Flow.resume ~policy:(Explore.Policy.hook ()) dir in
-  check "resumed flag set" true r_res.Core.Flow.resumed;
-  check_int "same final AND count" (Aig.Graph.num_ands a_full) (Aig.Graph.num_ands a_res);
-  check_int "same applied count" r_full.Core.Flow.applied r_res.Core.Flow.applied;
-  check "identical PO behaviour" true (Util.equivalent a_full a_res)
-
 (* ---------- Sweep: resume idempotence, shard and jobs invariance ---------- *)
 
 let tiny_spec dir =
@@ -271,7 +169,6 @@ let tiny_spec dir =
     benchmarks = [ "ctrl"; "int2float" ];
     ladders =
       [ { Explore.Ladder.metric = Errest.Metrics.Er; budgets = [ 0.01; 0.05 ] } ];
-    policy = Explore.Policy.Greedy;
     seed = 1;
     eval_rounds = 128;
     max_iters = 3;
@@ -281,17 +178,10 @@ let tiny_spec dir =
     distr = Errest.Distr.Unif;
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let front_files dir =
   let d = Filename.concat dir "fronts" in
   Sys.readdir d |> Array.to_list |> List.sort compare
-  |> List.map (fun f -> (f, read_file (Filename.concat d f)))
+  |> List.map (fun f -> (f, Util.read_file (Filename.concat d f)))
 
 let run_spec spec =
   match Explore.Sweep.run spec with
@@ -338,6 +228,55 @@ let test_sweep_rejects () =
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an unknown benchmark"
+
+(* ---------- Manifest format ---------- *)
+
+(* [tiny_spec]'s manifest in the on-disk format sweeps have always been
+   written in, byte for byte, naming candidate-selection policy [policy]. *)
+let tiny_manifest ~policy =
+  "alsrac-explore 1\n\
+   benchmarks ctrl,int2float\n\
+   ladder er=0x1.47ae147ae147bp-7,0x1.999999999999ap-5\n\
+   policy " ^ policy ^ "\n\
+   seed 1\n\
+   eval_rounds 128\n\
+   max_iters 3\n\
+   distr unif\n\
+   end\n"
+
+let test_manifest_greedy_resumes () =
+  let ref_dir = fresh_dir () in
+  let _ = run_spec (tiny_spec ref_dir) in
+  check_str "manifest bytes" (tiny_manifest ~policy:"greedy")
+    (Util.read_file (Filename.concat ref_dir "manifest"));
+  (* A directory holding that manifest and one completed point resumes:
+     the manifest supersedes the command line's seed, only the three
+     missing points run, and the fronts match the uninterrupted sweep's. *)
+  let dir = fresh_dir () in
+  Sys.mkdir dir 0o755;
+  Sys.mkdir (Filename.concat dir "points") 0o755;
+  Util.write_file (Filename.concat dir "manifest") (tiny_manifest ~policy:"greedy");
+  Util.write_file (Explore.Store.point_path dir 0)
+    (Util.read_file (Explore.Store.point_path ref_dir 0));
+  let p = run_spec { (tiny_spec dir) with Explore.Sweep.seed = 999 } in
+  check_int "one point found done" 1 p.Explore.Sweep.already_done;
+  check_int "the missing points ran" 3 p.Explore.Sweep.ran;
+  check "fronts match the uninterrupted sweep" true (front_files dir = front_files ref_dir)
+
+let test_manifest_rejects_removed_policy () =
+  let names_bandit = function
+    | Failure msg -> Util.contains msg "\"bandit\""
+    | _ -> false
+  in
+  (match Explore.Store.manifest_of_string (tiny_manifest ~policy:"bandit") with
+  | _ -> Alcotest.fail "parsed a bandit manifest"
+  | exception e -> check "parse failure names the policy" true (names_bandit e));
+  let dir = fresh_dir () in
+  Sys.mkdir dir 0o755;
+  Util.write_file (Filename.concat dir "manifest") (tiny_manifest ~policy:"bandit");
+  match Explore.Sweep.run (tiny_spec dir) with
+  | _ -> Alcotest.fail "resumed a bandit sweep"
+  | exception e -> check "resume failure names the policy" true (names_bandit e)
 
 (* ---------- Sweep: worst-case ladders and enumerated distributions ---------- *)
 
@@ -530,23 +469,15 @@ let () =
             test_ladder_roundtrip_and_rejects;
           Alcotest.test_case "worst-case budgets" `Quick test_ladder_max_budgets;
         ] );
-      ( "policy",
-        [
-          Alcotest.test_case "classify bounds" `Quick test_policy_classify_bounds;
-          Alcotest.test_case "deterministic and restorable" `Quick
-            test_policy_deterministic_and_restorable;
-        ] );
-      ( "bandit-flow",
-        [
-          Alcotest.test_case "deterministic" `Slow test_bandit_flow_deterministic;
-          Alcotest.test_case "kill and resume" `Slow test_bandit_kill_and_resume;
-        ] );
       ( "sweep",
         [
           Alcotest.test_case "smoke and resume" `Slow test_sweep_smoke_and_resume;
           Alcotest.test_case "shard and jobs invariance" `Slow
             test_sweep_shard_and_jobs_invariance;
           Alcotest.test_case "rejects" `Quick test_sweep_rejects;
+          Alcotest.test_case "greedy manifest resumes" `Quick test_manifest_greedy_resumes;
+          Alcotest.test_case "manifest rejects removed policy" `Quick
+            test_manifest_rejects_removed_policy;
           Alcotest.test_case "maxed shard and jobs invariance" `Slow
             test_sweep_maxed_shard_and_jobs_invariance;
           Alcotest.test_case "enum distr manifest" `Slow test_sweep_enum_distr_manifest;

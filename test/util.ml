@@ -88,3 +88,12 @@ let check_spec ?(rounds = 256) ~seed g spec =
   done
 
 let qcheck_cases tests = List.map QCheck_alcotest.to_alcotest tests
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* [sub] occurs somewhere in [s]. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
