@@ -612,7 +612,14 @@ let scoring () =
   Printf.printf "\n== Scoring-kernel microbenchmark: old (dense TFO resim) vs new (event-driven) ==\n%!";
   let fixtures =
     if smoke_mode then
-      [ ("c880", Metrics.Er, `Lac, 512, 64); ("c880", Metrics.Er, `Stress, 512, 64) ]
+      (* ER plus two value metrics, so the identity gate covers both the
+         word-parallel ER path and the decoded-value path. *)
+      [
+        ("c880", Metrics.Er, `Lac, 512, 64);
+        ("c880", Metrics.Er, `Stress, 512, 64);
+        ("c1908", Metrics.Mred, `Lac, 512, 64);
+        ("mtp8", Metrics.Nmed, `Stress, 512, 64);
+      ]
     else
       [
         (* The flow's real workload: LAC-generator candidates. *)

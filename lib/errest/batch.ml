@@ -382,7 +382,8 @@ let candidate_error t ~node ~new_sig =
       let cn = collect_changed_words t in
       t.counters.c_words <- t.counters.c_words + cn;
       Metrics.measure_incremental inc ~nchanged:cn
-        ~changed_words:t.changed_words_buf
+        ~changed_words:t.changed_words_buf ~nchanged_pos:ncp
+        ~changed_pos:t.changed_po
         ~get_word:(fun po w -> po_word t po w)
     end
   end

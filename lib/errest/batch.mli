@@ -7,9 +7,9 @@
     fanout frontier in level order using the {!Aig.Fanout} CSR, recomputes
     only nodes with a changed fanin, stops propagating through any node
     whose recomputed signature equals its base signature (difference-mask
-    early exit), and scores the surviving changed signature words through
-    {!Metrics.measure_incremental} — bit-identical to a full re-simulation
-    and re-measure, at a fraction of the work. *)
+    early exit), and scores the surviving changed signature words of the
+    changed POs through {!Metrics.measure_incremental} — bit-identical to a
+    full re-simulation and re-measure, at a fraction of the work. *)
 
 type t
 

@@ -68,17 +68,26 @@ let er ~golden ~approx =
     float_of_int (Bitvec.popcount diff) /. float_of_int len
   end
 
+(* XOR [bit] into [values.(off + r)] for every set bit [r] of word [x]. *)
+let xor_set_bits values ~off x bit =
+  let x = ref x in
+  while !x <> 0 do
+    let low = !x land - !x in
+    let r = off + Bitvec.popcount_word (low - 1) in
+    values.(r) <- values.(r) lxor bit;
+    x := !x lxor low
+  done
+
+(* Word by word: each PO sets only its own bit of a zeroed value, so XOR
+   is OR here. *)
 let output_values pos =
   let npos = Array.length pos in
   if npos > 62 then invalid_arg "Metrics.output_values: more than 62 outputs";
-  let len = num_rounds pos in
-  let values = Array.make len 0 in
+  let values = Array.make (num_rounds pos) 0 in
   for i = 0 to npos - 1 do
-    let words = Bitvec.unsafe_words pos.(i) in
-    for m = 0 to len - 1 do
-      let bit = (words.(m / Bitvec.word_bits) lsr (m mod Bitvec.word_bits)) land 1 in
-      values.(m) <- values.(m) lor (bit lsl i)
-    done
+    Array.iteri
+      (fun w x -> xor_set_bits values ~off:(w * Bitvec.word_bits) x (1 lsl i))
+      (Bitvec.unsafe_words pos.(i))
   done;
   values
 
@@ -142,7 +151,7 @@ let worst_case_ed ~golden ~approx =
    term(gv, av) * weight(round)]: the aggregate is either the blocked mean
    or the maximum, the term is one of the four families below, and the
    weight bakes together the metric's own normalization and (optionally)
-   the input distribution.  One shared [round_term] is evaluated by both
+   the input distribution.  One shared [word_term] is evaluated by both
    the full and the incremental paths — that single code path is what makes
    them bit-identical ([Float.equal]). *)
 
@@ -181,17 +190,14 @@ let metric_weights kind ~npos values =
 
 type prepared =
   | Prep_er of Bitvec.t array
-  | Prep_mean of {
+  | Prep_value of {
       golden : Bitvec.t array;
       values : int array;
-      weights : float array;  (** per-round multiplier applied to the term *)
+      weights : float array;
+          (** per-round multiplier applied to the term; for max kinds the
+              metric weight, zeroed off-support rounds *)
       fn : term_fn;
-    }
-  | Prep_max of {
-      golden : Bitvec.t array;
-      values : int array;
-      weights : float array;  (** metric weight, zeroed off-support rounds *)
-      fn : term_fn;
+      maximum : bool;  (** worst round instead of the blocked mean *)
     }
 
 let check_distr_weights p ~len =
@@ -215,60 +221,66 @@ let prepare ?weights kind ~golden =
       let npos = Array.length golden in
       let w = metric_weights kind ~npos values in
       let fn = term_of_kind kind in
-      if is_max kind then begin
-        (* Under a distribution the maximum ranges over the support only:
-           a zero weight excludes the round, any positive weight keeps the
-           metric weight untouched (worst case is not probability-scaled). *)
-        (match weights with
-        | None -> ()
-        | Some p ->
-            ignore (check_distr_weights p ~len : float);
-            Array.iteri (fun m pm -> if pm <= 0.0 then w.(m) <- 0.0) p);
-        Prep_max { golden; values; weights = w; fn }
-      end
-      else begin
-        (* Weighted mean: the effective multiplier is
-           [metric_w * (p_m / total) * len], so the final division by [len]
-           in the blocked fold yields exactly the probability-weighted mean.
-           Uniform weights over the sample give a multiplier of exactly 1.0,
-           which is why ENUM-with-equal-weights is bit-identical to UNIF. *)
-        (match weights with
-        | None -> ()
-        | Some p ->
-            let total = check_distr_weights p ~len in
-            let scale = float_of_int len /. total in
-            Array.iteri (fun m pm -> w.(m) <- w.(m) *. (pm *. scale)) p);
-        Prep_mean { golden; values; weights = w; fn }
-      end
+      let maximum = is_max kind in
+      (match weights with
+      | None -> ()
+      | Some p when maximum ->
+          (* Under a distribution the maximum ranges over the support only:
+             a zero weight excludes the round, any positive weight keeps the
+             metric weight untouched (worst case is not probability-scaled). *)
+          ignore (check_distr_weights p ~len : float);
+          Array.iteri (fun m pm -> if pm <= 0.0 then w.(m) <- 0.0) p
+      | Some p ->
+          (* Weighted mean: the effective multiplier is
+             [metric_w * (p_m / total) * len], so the final division by [len]
+             in the blocked fold yields exactly the probability-weighted mean.
+             Uniform weights over the sample give a multiplier of exactly 1.0,
+             which is why ENUM-with-equal-weights is bit-identical to UNIF. *)
+          let total = check_distr_weights p ~len in
+          let scale = float_of_int len /. total in
+          Array.iteri (fun m pm -> w.(m) <- w.(m) *. (pm *. scale)) p);
+      Prep_value { golden; values; weights = w; fn; maximum }
 
-(* Per-round term of the prepared measurement; any change here must be
-   mirrored in the incremental path below (bit-identity invariant). *)
-let round_term fn values weights av m = term fn values.(m) av.(m) *. weights.(m)
+(* Aggregate of the rounds [lo, hi) of one word, round [m] reading its
+   candidate value from [av.(m - off)]: their sum in round order (the inner
+   fold of [sum_blocked]) or their maximum.  The full and the incremental
+   measurement both evaluate every word through this one function, which
+   is what makes them bit-identical. *)
+let word_term ~maximum fn values weights av ~off ~lo ~hi =
+  let acc = ref 0.0 in
+  for m = lo to hi - 1 do
+    let t = term fn values.(m) av.(m - off) *. weights.(m) in
+    if maximum then (if t > !acc then acc := t) else acc := !acc +. t
+  done;
+  !acc
+
+(* Per-word aggregates of the rounds [0, len) of [av]. *)
+let word_terms ~maximum fn values weights av ~len =
+  Array.init
+    ((len + Bitvec.word_bits - 1) / Bitvec.word_bits)
+    (fun w ->
+      let lo = w * Bitvec.word_bits in
+      word_term ~maximum fn values weights av ~off:0 ~lo
+        ~hi:(min len (lo + Bitvec.word_bits)))
+
+(* The outer fold over word aggregates, in word order, and the final
+   division of the mean. *)
+let fold_word ~maximum acc c =
+  if maximum then if c > acc then c else acc else acc +. c
+
+let finish ~maximum ~len total = if maximum then total else total /. float_of_int len
 
 let measure_prepared prep ~approx =
   match prep with
   | Prep_er golden -> er ~golden ~approx
-  | Prep_mean { golden; values; weights; fn } ->
+  | Prep_value { golden; values; weights; fn; maximum } ->
       check_shapes golden approx;
       let len = num_rounds golden in
       if len = 0 then 0.0
-      else begin
-        let av = output_values approx in
-        sum_blocked len (round_term fn values weights av) /. float_of_int len
-      end
-  | Prep_max { golden; values; weights; fn } ->
-      check_shapes golden approx;
-      let len = num_rounds golden in
-      if len = 0 then 0.0
-      else begin
-        let av = output_values approx in
-        let worst = ref 0.0 in
-        for m = 0 to len - 1 do
-          let t = round_term fn values weights av m in
-          if t > !worst then worst := t
-        done;
-        !worst
-      end
+      else
+        word_terms ~maximum fn values weights (output_values approx) ~len
+        |> Array.fold_left (fold_word ~maximum) 0.0
+        |> finish ~maximum ~len
 
 let measure ?weights kind ~golden ~approx =
   match (weights, kind) with
@@ -293,7 +305,12 @@ let max_red ~golden ~approx = measure Maxred ~golden ~approx
    words and re-folding all blocks reproduces the full measurement
    bit-for-bit; the max kinds keep the word's maximum term, and the
    maximum of per-word maxima is order-insensitive, so the same
-   substitution argument holds trivially. *)
+   substitution argument holds trivially.
+
+   The value kinds also keep the base's decoded output values and PO
+   words: a changed word's candidate values are the base values with the
+   difference bits of the changed POs flipped, so a candidate pays for the
+   output bits it flips, not for every PO of every changed word. *)
 
 type incremental =
   | Inc_er of {
@@ -302,38 +319,17 @@ type incremental =
       base_or : int array;  (** per word: OR over POs of golden ^ base *)
       base_pop : int;
     }
-  | Inc_mean of {
+  | Inc_value of {
       len : int;
-      nwords : int;
-      npos : int;
       values : int array;  (** decoded golden output values (borrowed) *)
       weights : float array;  (** per-round multipliers (borrowed) *)
       fn : term_fn;
-      base_contrib : float array;  (** per-word partial sums *)
-      base_total : float;  (** fold of [base_contrib] in word order *)
+      maximum : bool;
+      base_values : int array;  (** decoded base output values *)
+      base_words : int array array;  (** borrowed per-PO base word arrays *)
+      base_word : float array;  (** per word: partial sum, or maximum term *)
+      base_total : float;  (** fold of [base_word] in word order *)
     }
-  | Inc_max of {
-      len : int;
-      nwords : int;
-      npos : int;
-      values : int array;
-      weights : float array;
-      fn : term_fn;
-      base_wmax : float array;  (** per-word maximum term *)
-      base_max : float;  (** maximum of [base_wmax] *)
-    }
-
-(* Decode the candidate's output values for the rounds of word [w] into
-   [av.(0 .. nb-1)] (shared scratch, caller-allocated). *)
-let decode_word ~npos ~get_word ~av w ~nb =
-  Array.fill av 0 nb 0;
-  for i = 0 to npos - 1 do
-    let aw = get_word i w in
-    if aw <> 0 then
-      for r = 0 to nb - 1 do
-        av.(r) <- av.(r) lor (((aw lsr r) land 1) lsl i)
-      done
-  done
 
 let prepare_incremental prep ~approx =
   match prep with
@@ -355,76 +351,32 @@ let prepare_incremental prep ~approx =
         base_pop := !base_pop + Bitvec.popcount_word base_or.(w)
       done;
       Inc_er { len; golden_words; base_or; base_pop = !base_pop }
-  | Prep_mean { golden; values; weights; fn } ->
+  | Prep_value { golden; values; weights; fn; maximum } ->
       check_shapes golden approx;
       let len = num_rounds golden in
-      let nwords = if len = 0 then 0 else Bitvec.num_words golden.(0) in
-      let av = output_values approx in
-      let base_contrib = Array.make nwords 0.0 in
-      for w = 0 to nwords - 1 do
-        let lo = w * Bitvec.word_bits in
-        let hi = min len (lo + Bitvec.word_bits) in
-        let wacc = ref 0.0 in
-        for m = lo to hi - 1 do
-          wacc := !wacc +. round_term fn values weights av m
-        done;
-        base_contrib.(w) <- !wacc
-      done;
-      let base_total = ref 0.0 in
-      for w = 0 to nwords - 1 do
-        base_total := !base_total +. base_contrib.(w)
-      done;
-      Inc_mean
+      let base_values = output_values approx in
+      let base_word = word_terms ~maximum fn values weights base_values ~len in
+      Inc_value
         {
           len;
-          nwords;
-          npos = Array.length golden;
           values;
           weights;
           fn;
-          base_contrib;
-          base_total = !base_total;
-        }
-  | Prep_max { golden; values; weights; fn } ->
-      check_shapes golden approx;
-      let len = num_rounds golden in
-      let nwords = if len = 0 then 0 else Bitvec.num_words golden.(0) in
-      let av = output_values approx in
-      let base_wmax = Array.make nwords 0.0 in
-      for w = 0 to nwords - 1 do
-        let lo = w * Bitvec.word_bits in
-        let hi = min len (lo + Bitvec.word_bits) in
-        let wmax = ref 0.0 in
-        for m = lo to hi - 1 do
-          let t = round_term fn values weights av m in
-          if t > !wmax then wmax := t
-        done;
-        base_wmax.(w) <- !wmax
-      done;
-      let base_max = ref 0.0 in
-      for w = 0 to nwords - 1 do
-        if base_wmax.(w) > !base_max then base_max := base_wmax.(w)
-      done;
-      Inc_max
-        {
-          len;
-          nwords;
-          npos = Array.length golden;
-          values;
-          weights;
-          fn;
-          base_wmax;
-          base_max = !base_max;
+          maximum;
+          base_values;
+          base_words = Array.map Bitvec.unsafe_words approx;
+          base_word;
+          base_total = Array.fold_left (fold_word ~maximum) 0.0 base_word;
         }
 
 let incremental_base = function
   | Inc_er { len; base_pop; _ } ->
       if len = 0 then 0.0 else float_of_int base_pop /. float_of_int len
-  | Inc_mean { len; base_total; _ } ->
-      if len = 0 then 0.0 else base_total /. float_of_int len
-  | Inc_max { len; base_max; _ } -> if len = 0 then 0.0 else base_max
+  | Inc_value { len; maximum; base_total; _ } ->
+      if len = 0 then 0.0 else finish ~maximum ~len base_total
 
-let measure_incremental inc ~nchanged ~changed_words ~get_word =
+let measure_incremental inc ~nchanged ~changed_words ~nchanged_pos ~changed_pos
+    ~get_word =
   match inc with
   | Inc_er { len; golden_words; base_or; base_pop } ->
       if len = 0 then 0.0
@@ -442,70 +394,34 @@ let measure_incremental inc ~nchanged ~changed_words ~get_word =
         done;
         float_of_int (base_pop + !delta) /. float_of_int len
       end
-  | Inc_mean { len; nwords; npos; values; weights; fn; base_contrib; _ } ->
+  | Inc_value
+      { len; values; weights; fn; maximum; base_values; base_words; base_word; _ }
+    ->
       if len = 0 then 0.0
       else begin
-        (* Recompute the contribution of each changed word (decoding output
-           values for just its rounds), then re-fold ALL words in order. *)
+        (* One pass in word order: a changed word is recomputed from the
+           base values with its flipped output bits applied, every other
+           word contributes its cached base aggregate. *)
         let av = Array.make Bitvec.word_bits 0 in
-        let new_contrib = Array.make (max 1 nchanged) 0.0 in
-        for k = 0 to nchanged - 1 do
-          let w = changed_words.(k) in
-          let lo = w * Bitvec.word_bits in
-          let hi = min len (lo + Bitvec.word_bits) in
-          let nb = hi - lo in
-          decode_word ~npos ~get_word ~av w ~nb;
-          let wacc = ref 0.0 in
-          for m = lo to hi - 1 do
-            wacc := !wacc +. (term fn values.(m) av.(m - lo) *. weights.(m))
-          done;
-          new_contrib.(k) <- !wacc
-        done;
-        let total = ref 0.0 and k = ref 0 in
-        for w = 0 to nwords - 1 do
+        let acc = ref 0.0 and k = ref 0 in
+        for w = 0 to Array.length base_word - 1 do
           let c =
             if !k < nchanged && changed_words.(!k) = w then begin
-              let c = new_contrib.(!k) in
               incr k;
-              c
+              let lo = w * Bitvec.word_bits in
+              let hi = min len (lo + Bitvec.word_bits) in
+              Array.blit base_values lo av 0 (hi - lo);
+              for j = 0 to nchanged_pos - 1 do
+                let i = changed_pos.(j) in
+                xor_set_bits av ~off:0 (get_word i w lxor base_words.(i).(w)) (1 lsl i)
+              done;
+              word_term ~maximum fn values weights av ~off:lo ~lo ~hi
             end
-            else base_contrib.(w)
+            else base_word.(w)
           in
-          total := !total +. c
+          acc := fold_word ~maximum !acc c
         done;
-        !total /. float_of_int len
-      end
-  | Inc_max { len; nwords; npos; values; weights; fn; base_wmax; _ } ->
-      if len = 0 then 0.0
-      else begin
-        let av = Array.make Bitvec.word_bits 0 in
-        let new_wmax = Array.make (max 1 nchanged) 0.0 in
-        for k = 0 to nchanged - 1 do
-          let w = changed_words.(k) in
-          let lo = w * Bitvec.word_bits in
-          let hi = min len (lo + Bitvec.word_bits) in
-          let nb = hi - lo in
-          decode_word ~npos ~get_word ~av w ~nb;
-          let wmax = ref 0.0 in
-          for m = lo to hi - 1 do
-            let t = term fn values.(m) av.(m - lo) *. weights.(m) in
-            if t > !wmax then wmax := t
-          done;
-          new_wmax.(k) <- !wmax
-        done;
-        let worst = ref 0.0 and k = ref 0 in
-        for w = 0 to nwords - 1 do
-          let c =
-            if !k < nchanged && changed_words.(!k) = w then begin
-              let c = new_wmax.(!k) in
-              incr k;
-              c
-            end
-            else base_wmax.(w)
-          in
-          if c > !worst then worst := c
-        done;
-        !worst
+        finish ~maximum ~len !acc
       end
 
 let compare_graphs ?weights kind ~original ~approx patterns =

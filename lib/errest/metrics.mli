@@ -109,7 +109,9 @@ val prepare_incremental :
 (** [prepare_incremental prep ~approx] caches the per-word state of the BASE
     approximation [approx]: for uniform ER the per-word OR of output
     differences and its popcount; for mean kinds the per-word weighted
-    partial sums; for max kinds the per-word maximum term.  The result is
+    partial sums; for max kinds the per-word maximum term.  Every kind but
+    uniform ER also keeps the base's decoded output values and borrows its
+    PO words, so [approx] must not be mutated afterwards.  The result is
     immutable and safe to share read-only across domains. *)
 
 val incremental_base : incremental -> float
@@ -120,14 +122,22 @@ val measure_incremental :
   incremental ->
   nchanged:int ->
   changed_words:int array ->
+  nchanged_pos:int ->
+  changed_pos:int array ->
   get_word:(int -> int -> int) ->
   float
-(** [measure_incremental inc ~nchanged ~changed_words ~get_word] is the
-    error of a candidate that differs from the base only inside signature
-    words [changed_words.(0 .. nchanged - 1)] (sorted ascending, no
-    duplicates).  [get_word po w] must return word [w] of the candidate's
-    signature for PO [po] — tail-masked, and equal to the base word for
-    every [w] outside the changed set. *)
+(** [measure_incremental inc ~nchanged ~changed_words ~nchanged_pos
+    ~changed_pos ~get_word] is the error of a candidate that differs from
+    the base only inside signature words [changed_words.(0 .. nchanged - 1)]
+    (sorted ascending, no duplicates) and only on the POs
+    [changed_pos.(0 .. nchanged_pos - 1)] (any order, no duplicates).  Every
+    PO whose signature may differ from the base must be listed; an unlisted
+    PO is taken to equal the base.  [get_word po w] must return word [w] of
+    the candidate's signature for PO [po] — tail-masked, and equal to the
+    base word for every [w] outside the changed set.  Uniform ER reads
+    [get_word] for every PO of a changed word; the value kinds read it for
+    the listed POs only and flip the base values at the bits that differ,
+    so they cost O(changed words * (62 + flipped bits)). *)
 
 val worst_case_ed : golden:Logic.Bitvec.t array -> approx:Logic.Bitvec.t array -> int
 (** Largest absolute error distance over the sampled rounds, as an exact

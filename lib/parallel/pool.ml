@@ -34,7 +34,9 @@ type counters = {
   mutable c_idle : int64;
 }
 
-type task = unit -> unit
+(* A task runs on the lane it is given, and charges its run to that lane's
+   counters itself (see [async]). *)
+type task = int -> unit
 
 (* Owner-bottom / thief-top ring-buffer deque.  Indices grow monotonically;
    the element at logical index [i] lives in slot [i land (capacity - 1)].
@@ -136,17 +138,12 @@ let take t lane =
       in
       scan 1
 
-(* Run one task outside the lock, charging busy time to [lane].  Expects the
-   lock held on entry and re-acquires it before returning. *)
+(* Run one task outside the lock on [lane].  Expects the lock held on entry
+   and re-acquires it before returning. *)
 let exec_locked t lane task =
   Mutex.unlock t.mutex;
-  let t0 = Clock.now_ns () in
-  task ();
-  let dt = Int64.sub (Clock.now_ns ()) t0 in
-  Mutex.lock t.mutex;
-  let c = t.counters.(lane) in
-  c.c_tasks <- c.c_tasks + 1;
-  c.c_busy <- Int64.add c.c_busy dt
+  task lane;
+  Mutex.lock t.mutex
 
 let worker_loop t lane =
   Domain.DLS.set lane_key (t.id, lane);
@@ -215,17 +212,24 @@ let cancelled t =
 
 let async t f =
   let fut = { st = Pending } in
-  let task () =
+  let task lane =
     (* Each task is fully contained: an exception becomes the future's
        value, never a worker death — the pool stays usable after a failed
        task.  A cancelled pool skips the body entirely: a task enqueued
        before the caller abandoned the computation must not keep a worker
        busy, it fails fast with [Cancelled] instead. *)
+    let t0 = Clock.now_ns () in
     let r =
       if cancelled t then Failed (Cancelled, Printexc.get_callstack 0)
       else try Done (f ()) with e -> Failed (e, Printexc.get_raw_backtrace ())
     in
+    let dt = Int64.sub (Clock.now_ns ()) t0 in
+    (* Count the task under the same lock that publishes its result, so a
+       caller reading [stats] right after its last [await] sees it. *)
     Mutex.lock t.mutex;
+    let c = t.counters.(lane) in
+    c.c_tasks <- c.c_tasks + 1;
+    c.c_busy <- Int64.add c.c_busy dt;
     fut.st <- r;
     Condition.broadcast t.cond;
     Mutex.unlock t.mutex
@@ -233,13 +237,7 @@ let async t f =
   if t.jobs <= 1 then begin
     (* Sequential pool: run eagerly on the caller.  This IS the jobs = 1
        semantics every parallel call site falls back to. *)
-    let t0 = Clock.now_ns () in
-    task ();
-    Mutex.lock t.mutex;
-    let c = t.counters.(0) in
-    c.c_tasks <- c.c_tasks + 1;
-    c.c_busy <- Int64.add c.c_busy (Int64.sub (Clock.now_ns ()) t0);
-    Mutex.unlock t.mutex;
+    task 0;
     fut
   end
   else begin

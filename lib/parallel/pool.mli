@@ -87,7 +87,9 @@ val cancelled : t -> bool
     the same chunk-boundary contract. *)
 
 val stats : t -> stat array
-(** Per-lane counters since creation (or the last {!reset_stats}). *)
+(** Per-lane counters since creation (or the last {!reset_stats}).  A task
+    is counted before its future resolves, so a read after the last
+    {!await} sees every awaited task. *)
 
 val reset_stats : t -> unit
 

@@ -204,9 +204,24 @@ let oracle_error g ~prep ~base ~node ~new_sig =
 let all_metrics = Metrics.all_kinds
 let nmetrics = List.length all_metrics
 
+(* The four distribution shapes of a matrix row: uniform (no weights),
+   enumerated-uniform, enumerated-weighted, and a sparse support with
+   excluded rounds. *)
+let matrix_weight_cells rng len =
+  [
+    ("unif", None);
+    ("enum-uniform", Some (Array.make len 1.0));
+    ("enum-weighted", Some (Array.init len (fun _ -> 0.0625 +. Logic.Rng.float rng)));
+    ( "enum-sparse",
+      Some
+        (Array.init len (fun m ->
+             if m land 3 = 0 then 0.5 +. Logic.Rng.float rng else 0.0)) );
+  ]
+
 (* Candidate signatures exercising every kernel path: divisor copy and
    complement (what the LAC flow produces), a fully random signature (dense
-   diffs, many changed words), and the base signature itself (trivial). *)
+   diffs, many changed words), the target's full flip (every round of every
+   word differs), and the base signature itself (trivial). *)
 let candidate_specs rng ~base ~targets =
   let len = Bitvec.length base.(0) in
   List.concat_map
@@ -216,6 +231,7 @@ let candidate_specs rng ~base ~targets =
         (node, Bitvec.copy base.(s));
         (node, Bitvec.lognot base.(s));
         (node, Bitvec.random rng len);
+        (node, Bitvec.lognot base.(node));
         (node, Bitvec.copy base.(node));
       ])
     targets
@@ -227,20 +243,21 @@ let random_targets rng g ~count =
   | [||] -> []
   | arr -> List.init count (fun _ -> arr.(Logic.Rng.int rng (Array.length arr)))
 
-(* Score [specs] with the kernel (optionally through a pool) and demand
-   bit-identity with the oracle on every candidate, plus on the base error
-   itself. *)
-let differential_check ?pool g ~metric ~pats ~specs =
+(* Score [specs] with the kernel (optionally through a pool, optionally
+   under per-round distribution [weights]) and demand bit-identity with the
+   oracle on every candidate, plus on the base error itself.  [label] names
+   the case in a failure. *)
+let differential_check ?pool ?weights ?(label = "") g ~metric ~pats ~specs =
   let golden = Sim.Engine.simulate_pos g pats in
   let base = Sim.Engine.simulate g pats in
-  let prep = Metrics.prepare metric ~golden in
-  let batch = Errest.Batch.create g ~metric ~golden ~base in
+  let prep = Metrics.prepare ?weights metric ~golden in
+  let batch = Errest.Batch.create ?weights g ~metric ~golden ~base in
   let base_oracle =
     Metrics.measure_prepared prep ~approx:(Sim.Engine.po_values g base)
   in
   if not (Float.equal (Errest.Batch.base_error batch) base_oracle) then
-    Alcotest.failf "base error: kernel %.17g <> oracle %.17g"
-      (Errest.Batch.base_error batch) base_oracle;
+    Alcotest.failf "%s metric %s, base error: kernel %.17g <> oracle %.17g" label
+      (Metrics.kind_to_string metric) (Errest.Batch.base_error batch) base_oracle;
   let specs = Array.of_list specs in
   let fast = Errest.Batch.candidate_errors ?pool batch specs in
   Array.iteri
@@ -248,8 +265,8 @@ let differential_check ?pool g ~metric ~pats ~specs =
       let slow = oracle_error g ~prep ~base ~node ~new_sig in
       if not (Float.equal fast.(i) slow) then
         Alcotest.failf
-          "metric %s, node %d, candidate %d: kernel %.17g <> oracle %.17g"
-          (Metrics.kind_to_string metric) node i fast.(i) slow)
+          "%s metric %s, node %d, candidate %d: kernel %.17g <> oracle %.17g"
+          label (Metrics.kind_to_string metric) node i fast.(i) slow)
     specs;
   Errest.Batch.stats batch
 
@@ -270,18 +287,59 @@ let test_differential_random_circuits () =
   for seed = 1 to 120 do
     let g = Verify.Gen.random ~profile:(gen_profile seed) seed in
     let rng = Logic.Rng.create (seed * 7919) in
-    let pats =
-      Sim.Patterns.random rng ~npis:(Graph.num_pis g)
-        ~len:pattern_lens.(seed mod Array.length pattern_lens)
-    in
+    let len = pattern_lens.(seed mod Array.length pattern_lens) in
+    let pats = Sim.Patterns.random rng ~npis:(Graph.num_pis g) ~len in
     let metric = List.nth all_metrics (seed mod nmetrics) in
     match random_targets rng g ~count:2 with
     | [] -> ()
     | targets ->
         let base = Sim.Engine.simulate g pats in
         let specs = candidate_specs rng ~base ~targets in
-        ignore (differential_check g ~metric ~pats ~specs : Errest.Batch.stats)
+        List.iter
+          (fun (cell, weights) ->
+            let label = Printf.sprintf "seed %d cell %s:" seed cell in
+            ignore
+              (differential_check ?weights ~label g ~metric ~pats ~specs
+                : Errest.Batch.stats))
+          (matrix_weight_cells rng len)
   done
+
+let test_differential_wide_pos () =
+  (* The PO counts of adder and rca32 (33) and the decode limit (62), at
+     pattern lengths ending in a partial tail word.  One target drives two
+     extra POs, one of them complemented, so its full flip changes both in
+     every round. *)
+  List.iteri
+    (fun k (npos, len) ->
+      let seed = 500 + k in
+      let profile =
+        { Verify.Gen.npis = 7; npos = npos - 2; nands = 90; reconv = 0.4; compl_p = 0.5 }
+      in
+      let g = Verify.Gen.random ~profile seed in
+      let rng = Logic.Rng.create (seed * 7919) in
+      match random_targets rng g ~count:3 with
+      | [] -> Alcotest.failf "seed %d: no AND gate to target" seed
+      | shared :: _ as targets ->
+          let l = Graph.make_lit shared false in
+          ignore (Graph.add_po g l : int);
+          ignore (Graph.add_po g (Graph.lit_not l) : int);
+          Alcotest.(check int) "PO count" npos (Graph.num_pos g);
+          let pats = Sim.Patterns.random rng ~npis:(Graph.num_pis g) ~len in
+          let base = Sim.Engine.simulate g pats in
+          let specs = candidate_specs rng ~base ~targets in
+          List.iter
+            (fun metric ->
+              List.iter
+                (fun (cell, weights) ->
+                  let label =
+                    Printf.sprintf "%d POs, %d rounds, cell %s:" npos len cell
+                  in
+                  ignore
+                    (differential_check ?weights ~label g ~metric ~pats ~specs
+                      : Errest.Batch.stats))
+                (matrix_weight_cells rng len))
+            all_metrics)
+    [ (33, 50); (33, 193); (62, 50); (62, 193) ]
 
 let test_differential_jobs_invariance () =
   (* The same circuits and candidates through a 4-lane pool: per-candidate
@@ -705,20 +763,6 @@ let mutate_graph rng g =
         ~replace:(fun id ->
           if id = v then Some (Graph.Replace_lit (Graph.make_lit s compl)) else None)
         g
-
-(* The four distribution shapes of a matrix row: uniform (no weights),
-   enumerated-uniform, enumerated-weighted, and a sparse support with
-   excluded rounds. *)
-let matrix_weight_cells rng len =
-  [
-    ("unif", None);
-    ("enum-uniform", Some (Array.make len 1.0));
-    ("enum-weighted", Some (Array.init len (fun _ -> 0.0625 +. Logic.Rng.float rng)));
-    ( "enum-sparse",
-      Some
-        (Array.init len (fun m ->
-             if m land 3 = 0 then 0.5 +. Logic.Rng.float rng else 0.0)) );
-  ]
 
 let test_matrix_oracle_exhaustive () =
   for seed = 1 to 30 do
@@ -1256,6 +1300,7 @@ let () =
         [
           Alcotest.test_case "random circuits vs oracle" `Quick
             test_differential_random_circuits;
+          Alcotest.test_case "wide POs vs oracle" `Quick test_differential_wide_pos;
           Alcotest.test_case "jobs invariance" `Quick test_differential_jobs_invariance;
           Alcotest.test_case "benchmark suite vs oracle" `Quick
             test_differential_benchmark_suite;

@@ -447,6 +447,11 @@ let approx_params ~threshold =
     max_iters = 1000;
   }
 
+(* A c1908 run long enough for the timing tests below, which need it still
+   running 0.25-0.4 s in: at 16384 evaluation rounds the flow takes over a
+   second on a 2-vCPU VM, at 1024 rounds about 0.4 s. *)
+let slow_approx_params = { (approx_params ~threshold:0.05) with eval_rounds = 16384 }
+
 let test_daemon_deadline_rollback () =
   with_daemon (daemon_config ()) @@ fun conn ->
   (match Serve.Client.load conn ~session:"s1" ~circuit:"c1908" () with
@@ -459,8 +464,8 @@ let test_daemon_deadline_rollback () =
   (* The c1908 flow needs over a second; a 0.25s deadline must expire
      mid-run, produce a structured timeout and roll the session back. *)
   (match
-     Serve.Client.approx conn ~session:"s1"
-       ~params:(approx_params ~threshold:0.05) ~deadline_s:0.25 ()
+     Serve.Client.approx conn ~session:"s1" ~params:slow_approx_params
+       ~deadline_s:0.25 ()
    with
   | Serve.Protocol.Err { code = Serve.Protocol.Timeout; _ } -> ()
   | Serve.Protocol.Ok _ -> Alcotest.fail "run beat a 0.25s deadline?"
@@ -493,8 +498,8 @@ let test_daemon_backpressure () =
         let c = Serve.Client.connect ~path:cfg.Serve.Daemon.socket () in
         approx_done :=
           Some
-            (Serve.Client.approx c ~session:"s1"
-               ~params:(approx_params ~threshold:0.05) ~deadline_s:2.0 ());
+            (Serve.Client.approx c ~session:"s1" ~params:slow_approx_params
+               ~deadline_s:2.0 ());
         Serve.Client.close c)
       ()
   in
@@ -540,8 +545,8 @@ let test_daemon_busy_approx () =
       (fun () ->
         let c = Serve.Client.connect ~path:cfg.Serve.Daemon.socket () in
         ignore
-          (Serve.Client.approx c ~session:"s1"
-             ~params:(approx_params ~threshold:0.05) ~deadline_s:2.0 ());
+          (Serve.Client.approx c ~session:"s1" ~params:slow_approx_params
+             ~deadline_s:2.0 ());
         Serve.Client.close c)
       ()
   in
