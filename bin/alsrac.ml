@@ -286,13 +286,16 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
             r.Core.Flow.guard_rejects r.Core.Flow.quarantined
             r.Core.Flow.recovered_exns;
         (let s = r.Core.Flow.scoring in
-         if s.Errest.Batch.scored > 0 then
+         let ranked = s.Errest.Batch.scored + r.Core.Flow.memoised in
+         if ranked > 0 then
            Printf.printf
-             "scoring: %d candidates (%d trivial, %d early exits), %d frontier \
-              nodes, %d changed POs, %d changed words\n"
-             s.Errest.Batch.scored s.Errest.Batch.trivial s.Errest.Batch.early_exits
-             s.Errest.Batch.frontier_nodes s.Errest.Batch.changed_pos
-             s.Errest.Batch.changed_words);
+             "scoring: %d ranked, %d scored, %d memoised (%d trivial, %d early \
+              exits), %d frontier nodes, %d changed POs, %d changed words; %d raw \
+              rebuilds skipped\n"
+             ranked s.Errest.Batch.scored r.Core.Flow.memoised s.Errest.Batch.trivial
+             s.Errest.Batch.early_exits s.Errest.Batch.frontier_nodes
+             s.Errest.Batch.changed_pos s.Errest.Batch.changed_words
+             r.Core.Flow.rebuilds_skipped);
         (match r.Core.Flow.resub with
         | Some s ->
             Printf.printf

@@ -172,6 +172,25 @@ let reserve g n =
   done;
   if !target > cur then rehash_strash g !target
 
+(* Node ids, names and the strash's contents stay; only the slack goes.
+   The strash keeps [and_]'s load factor of at most 1/2. *)
+let trim g =
+  let n = g.nnodes in
+  g.fanin0 <- Array.sub g.fanin0 0 n;
+  g.fanin1 <- Array.sub g.fanin1 0 n;
+  g.pi_pos <- Array.sub g.pi_pos 0 n;
+  g.cap <- n;
+  g.pis <- Array.sub g.pis 0 g.npis;
+  g.pi_names <- Array.sub g.pi_names 0 g.npis;
+  g.pos <- Array.sub g.pos 0 g.npos;
+  g.po_names <- Array.sub g.po_names 0 g.npos;
+  let size = ref 1 in
+  while !size < 2 * (n + 1) do
+    size := 2 * !size
+  done;
+  rehash_strash g !size;
+  g.cached_views <- None
+
 (* ---------- Append-only mutation ---------- *)
 
 let new_node g f0 f1 =

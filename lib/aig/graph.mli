@@ -63,6 +63,13 @@ val reserve : t -> int -> unit
 (** [reserve g n] pre-sizes the node arrays and the strash table for a graph
     of [n] nodes, so construction up to that size never reallocates. *)
 
+val trim : t -> unit
+(** Shrink [g] in place to what it holds: node, PI and PO arrays of exactly
+    its size, a strash of the smallest power of two [>= 2 * (num_nodes g +
+    1)] slots, no cached views.  Node ids, names and the structure are
+    unchanged, so every reader sees the same graph, and it can still
+    grow. *)
+
 (** {1 Access} *)
 
 val num_nodes : t -> int

@@ -55,6 +55,8 @@ type report = {
   resumed : bool;
   pool : Parallel.Pool.stat array;
   scoring : Errest.Batch.stats;
+  memoised : int;
+  rebuilds_skipped : int;
   resub : Resub_exact.stats option;
   events : event list;
   certify : certify option;
@@ -163,9 +165,6 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
   let accepts_since_full = ref (field (fun s -> s.Journal.accepts_since_full) 0) in
   let quarantine : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   field (fun s -> List.iter (fun h -> Hashtbl.replace quarantine h ()) s.Journal.quarantined) ();
-  (* Scoring-kernel counters: observational and per-process, not journaled
-     (a resumed run reports the resumed portion only). *)
-  let scoring = ref Errest.Batch.zero_stats in
   (* Exact-resubstitution pass ([Config.exact_resub]): threaded into every
      [Compress2] invocation as [Aig.Resyn]'s fourth pass.  Exact and
      self-certifying (every commit is CEC-proven inside [Resub_exact]), so
@@ -303,6 +302,14 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
       end
     end
   in
+  (* Scores and raw-rebuild verdicts of the current graph's candidates,
+     kept until the graph changes (DESIGN.md §17).  Never journaled: a
+     checkpoint is taken at an accept, after which the memo starts over on
+     the new graph anyway. *)
+  let memo =
+    Lac_memo.create ?weights:eval_weights ~pool ~metric:config.metric ~golden
+      ~patterns:eval_pats ~depth_limit ()
+  in
   let iteration_body () =
     let care_pats = gen_patterns rng config ~npis ~len:!rounds in
     let care_sigs = Sim.Engine.simulate ~pool !g care_pats in
@@ -318,8 +325,14 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
          the care set shrunk; fresh patterns alone may unblock us. *)
       shrink_rounds ()
     else begin
-      let base_sigs = Sim.Engine.simulate ~pool !g eval_pats in
-      (match Fault.flip_signatures config.fault ~iteration:!iteration with
+      let flip = Fault.flip_signatures config.fault ~iteration:!iteration in
+      let corrupt_pending = ref (Fault.corrupt_lac config.fault ~iteration:!iteration) in
+      (* An iteration with an injected fault scores on a memo of its own:
+         a prediction from skewed signatures, or a rejection of a corrupted
+         replacement, must not outlive it. *)
+      let memo = if flip = None && not !corrupt_pending then memo else Lac_memo.scratch memo in
+      let base_sigs = Lac_memo.base_sigs memo !g in
+      (match flip with
       | Some bit ->
           (* Soft-error model: skew every node's evaluation signature, so the
              error predictions below no longer describe the real graph. *)
@@ -334,29 +347,18 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
       | None -> ());
       (* Quarantined targets are dead to the run: a LAC on them already broke
          the guard once. *)
-      let lacs =
-        List.filter
-          (fun (lac : Lac.t) -> not (Hashtbl.mem quarantine (sig_hash base_sigs.(lac.Lac.target))))
-          lacs
+      let lac_arr =
+        Array.of_list
+          (List.filter
+             (fun (lac : Lac.t) ->
+               not (Hashtbl.mem quarantine (sig_hash base_sigs.(lac.Lac.target))))
+             lacs)
       in
-      let batch =
-        Errest.Batch.create ?weights:eval_weights !g ~metric:config.metric ~golden
-          ~base:base_sigs
-      in
-      (* Candidate scoring is the hottest loop of a flow iteration: fan it
-         across the pool.  [candidate_errors] is bit-identical to the
-         sequential scoring at any pool size, so the ranking below — and
-         with it the whole run — is too. *)
-      let lac_arr = Array.of_list lacs in
-      let specs =
-        Array.map
-          (fun (lac : Lac.t) ->
-            let pos_sigs = Array.map (fun d -> base_sigs.(d)) lac.Lac.divisors in
-            (lac.Lac.target, Logic.Cover.eval_sigs lac.Lac.cover ~pos_sigs))
-          lac_arr
-      in
-      let errs = Errest.Batch.candidate_errors ~pool batch specs in
-      scoring := Errest.Batch.add_stats !scoring (Errest.Batch.stats batch);
+      (* Candidate scoring is the hottest loop of a flow iteration: the memo
+         fans what it has not scored on this graph yet across the pool.
+         Every error is bit-identical to the sequential scoring at any pool
+         size, so the ranking below — and with it the whole run — is too. *)
+      let errs = Lac_memo.errors memo !g lac_arr in
       let scored =
         Array.to_list (Array.mapi (fun i lac -> (errs.(i), lac)) lac_arr)
       in
@@ -372,7 +374,6 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
           scored
       in
       let budget = config.threshold *. config.margin in
-      let corrupt_pending = ref (Fault.corrupt_lac config.fault ~iteration:!iteration) in
       let rec try_apply ~skipped = function
         | [] -> `No_progress
         | (err, _) :: _ when err > budget ->
@@ -381,7 +382,7 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
                if we only got here by skipping no-op candidates, let fresh
                patterns try again first. *)
             if skipped then `No_progress else `Over_budget
-        | (err, (lac : Lac.t)) :: rest ->
+        | (err, (lac : Lac.t)) :: rest -> (
             let replacement =
               if !corrupt_pending then begin
                 (* Injected ISOP corruption: commit a constant in place of
@@ -389,23 +390,19 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
                    describes the true one, so the guard must trip. *)
                 corrupt_pending := false;
                 let s = base_sigs.(lac.Lac.target) in
-                if 2 * Bitvec.popcount s > Bitvec.length s then Graph.Replace_lit Graph.const0
-                else Graph.Replace_lit Graph.const1
+                Some
+                  (Graph.Replace_lit
+                     (if 2 * Bitvec.popcount s > Bitvec.length s then Graph.const0
+                      else Graph.const1))
               end
-              else Lac.replacement lac
-            in
-            let replaced =
-              Graph.rebuild_with rb
-                ~replace:(fun id -> if id = lac.Lac.target then Some replacement else None)
-                !g
+              else None
             in
             (* Cheap progress check on the raw rebuild; the (expensive)
                re-optimization runs only on accepted candidates and can only
                shrink further. *)
-            if
-              Graph.num_ands replaced < Graph.num_ands !g
-              && Aig.Topo.depth replaced <= depth_limit
-            then begin
+            match Lac_memo.rebuild ?replacement memo rb !g lac with
+            | None -> try_apply ~skipped:true rest
+            | Some replaced ->
               let optimized = optimize_step replaced in
               (* [optimize_step] copies into a fresh graph, so the raw
                  rebuild is dead either way from here on. *)
@@ -500,12 +497,7 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
                     Log.debug (fun m ->
                         m "iter %d: applied LAC on node %d, err %.5f, ands %d" !iteration
                           lac.Lac.target err (Graph.num_ands !g));
-                    `Applied
-            end
-            else begin
-              Graph.recycle rb replaced;
-              try_apply ~skipped:true rest
-            end
+                    `Applied)
       in
       match try_apply ~skipped:false ranked with
       | `Applied ->
@@ -627,6 +619,12 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
             }
         else None
   in
+  (* Right-size the result: a caller keeping many results would otherwise
+     keep every graph's growth slack and cached views alive. *)
+  Graph.trim !g;
+  (* Scoring counters are observational and per-process, not journaled (a
+     resumed run reports the resumed portion only). *)
+  let memo_stats = Lac_memo.stats memo in
   ( !g,
     {
       input_ands = Graph.num_ands original;
@@ -643,7 +641,9 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
       quarantined = Hashtbl.length quarantine;
       resumed = init <> None;
       pool = Parallel.Pool.stats pool;
-      scoring = !scoring;
+      scoring = memo_stats.Lac_memo.kernel;
+      memoised = memo_stats.Lac_memo.memoised;
+      rebuilds_skipped = memo_stats.Lac_memo.rebuilds_skipped;
       resub = (if config.exact_resub then Some !resub_stats else None);
       events = List.rev !events;
       certify =

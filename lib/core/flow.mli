@@ -5,7 +5,8 @@
     the ORIGINAL circuit, apply the best one if it respects the error
     threshold, re-optimize with traditional synthesis, and dynamically shrink
     the simulation round [N] whenever no candidate exists for [t] consecutive
-    iterations.
+    iterations.  A candidate seen before on the same graph is answered by
+    {!Lac_memo} instead of being scored and size-checked again.
 
     Three resilience mechanisms wrap the loop (see DESIGN.md, "Resilience &
     recovery"):
@@ -131,10 +132,20 @@ type report = {
           {!Errest.Observability.pp_pool_stats} *)
   scoring : Errest.Batch.stats;
       (** cumulative counters of the event-driven scoring kernel
-          ({!Errest.Batch.stats}): candidates scored, difference-mask early
-          exits, frontier nodes recomputed, changed POs/words re-measured.
-          Per-process like [certify] — not journaled, so a resumed run
-          reports the resumed portion only. *)
+          ({!Errest.Batch.stats}): candidates the kernel scored,
+          difference-mask early exits, frontier nodes recomputed, changed
+          POs/words re-measured.  Candidates whose error came from the
+          candidate memo ({!Lac_memo}) are not in [scored]: the candidates
+          ranked number [scoring.scored + memoised].  Per-process like
+          [certify] — not journaled, so a resumed run reports the resumed
+          portion only. *)
+  memoised : int;
+      (** ranked candidates whose predicted error the memo already held for
+          the same graph; per-process like [scoring] *)
+  rebuilds_skipped : int;
+      (** raw rebuilds skipped because the memo held the candidate's
+          size/depth rejection on the same graph; per-process like
+          [scoring] *)
   resub : Resub_exact.stats option;
       (** cumulative counters of the exact-resubstitution pass, including
           its own scoring-kernel batch counters; [None] unless
@@ -152,7 +163,8 @@ val run :
   Aig.Graph.t ->
   Aig.Graph.t * report
 (** Returns the approximate circuit (same PI/PO interface) and the run
-    report.  The input graph is not modified.  [?journal] names a run
+    report.  The input graph is not modified.  The returned graph is
+    right-sized ({!Aig.Graph.trim}).  [?journal] names a run
     directory to checkpoint into ({!Journal.create} — a fresh run, wiping
     any previous checkpoints there).  A worker pool of [config.jobs] lanes
     runs simulation, LAC generation and candidate scoring; every result is
@@ -182,5 +194,5 @@ val resume :
     overrides the manifest's pool size — the pool is execution policy, not
     run identity, so resuming at a different [jobs] still reproduces the
     uninterrupted run bit-for-bit.  [?cancel] and [?pool] behave exactly as
-    in {!run}.  Raises [Failure] if the directory is not a usable
-    journal. *)
+    in {!run}, and the returned graph is right-sized as there.  Raises
+    [Failure] if the directory is not a usable journal. *)

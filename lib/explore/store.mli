@@ -49,7 +49,10 @@ type result = {
   orig_delay : float;
   delay : float;
   applied : int;  (** accepted LACs *)
-  scored : int;  (** candidates scored (selection-efficiency counter) *)
+  scored : int;
+      (** candidates the scoring kernel evaluated ([Flow.report.scoring]);
+          candidates whose error the flow's memo already held are not
+          counted (selection-efficiency counter) *)
   runtime_s : float;  (** CPU time; reporting only, never in fronts *)
 }
 

@@ -377,6 +377,39 @@ let test_clone_roundtrip () =
     Aig.Check.check_exn g
   done
 
+let test_trim () =
+  for seed = 1 to 50 do
+    let g = Verify.Gen.random seed in
+    let views_before = Graph.views g in
+    let u = Graph.clone g in
+    Graph.trim g;
+    Alcotest.(check string) "trimmed dump" (dump u) (dump g);
+    Aig.Check.check_exn g;
+    check "slack dropped" true
+      (Obj.reachable_words (Obj.repr g) < Obj.reachable_words (Obj.repr u));
+    check "views recomputed" true (Graph.views g != views_before);
+    check_views "trimmed" g;
+    let n = Graph.num_nodes g in
+    Graph.iter_ands g (fun id ->
+        check_int "existing fanin pair" (Graph.make_lit id false)
+          (Graph.and_ g (Graph.fanin0 g id) (Graph.fanin1 g id)));
+    check_int "no node added" n (Graph.num_nodes g);
+    (* Past every trimmed capacity: more PIs, a chain of new gates, a PO. *)
+    List.iter
+      (fun h ->
+        let a = Graph.add_pi h in
+        let l = ref a in
+        for i = 0 to (2 * n) + 2 do
+          let pi = Graph.pi_lit h (i mod Graph.num_pis h) in
+          l := Graph.and_ h !l (Graph.lit_not_cond pi (i land 1 = 0))
+        done;
+        ignore (Graph.add_po h !l))
+      [ g; u ];
+    Alcotest.(check string) "grown dump" (dump u) (dump g);
+    Aig.Check.check_exn g;
+    check_views "grown" g
+  done
+
 let test_snapshot_restore () =
   for seed = 1 to 50 do
     let g = Verify.Gen.random seed in
@@ -457,6 +490,7 @@ let () =
           Alcotest.test_case "views after random mutations" `Quick
             test_views_random_mutations;
           Alcotest.test_case "clone round-trip" `Quick test_clone_roundtrip;
+          Alcotest.test_case "trim" `Quick test_trim;
           Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
           Alcotest.test_case "rebuilder matches rebuild" `Quick
             test_rebuilder_matches_rebuild;

@@ -287,10 +287,7 @@ let eager_lacs ranked ~lac_limit =
       !lacs)
     ranked
 
-let test_jobs =
-  match Sys.getenv_opt "ALSRAC_TEST_JOBS" with
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 2 -> n | _ -> 4)
-  | None -> 4
+let test_jobs = Util.test_jobs
 
 let approx_suite = [ "c880"; "router"; "rca32"; "cavlc"; "adder"; "log2"; "int2float" ]
 
@@ -342,6 +339,135 @@ let test_lac_eager_oracle () =
             graphs));
   check_int "every configuration ran" (207 * 5 * 12) !configs;
   check "most configurations produce LACs" true (2 * !nonempty > !configs)
+
+(* ---------- Candidate memo ---------- *)
+
+(* An enumerated distribution over [npis] inputs: 40 seeded rows with
+   uneven weights. *)
+let enum_distr ~seed ~npis =
+  let rng = Logic.Rng.create seed in
+  Errest.Distr.enum
+    ~rows:(Array.init 40 (fun _ -> Array.init npis (fun _ -> Logic.Rng.bool rng)))
+    ~weights:(Array.init 40 (fun i -> float_of_int (1 + (i mod 7))))
+
+(* Every answer of one memo, across five care draws on [g], against a
+   fresh simulation + batch + scoring and a fresh rebuild + size/depth
+   check.  Returns a graph one accepted candidate away (for the next round
+   on the same memo) and how many answers came from the memo. *)
+let memo_rounds ~what ~pool ~memo ~distr ?weights ~metric ~golden ~patterns ~depth_limit g =
+  let config =
+    { (Core.Config.default ~metric ~threshold:0.01) with Core.Config.lac_limit = 4 }
+  in
+  let rng = Logic.Rng.create (Graph.num_nodes g) in
+  let rb = Graph.rebuilder () in
+  let next = ref None in
+  List.iteri
+    (fun draw rounds ->
+      let care = Errest.Distr.sample distr rng ~npis:(Graph.num_pis g) ~len:rounds in
+      let sigs = Sim.Engine.simulate g care in
+      let lacs = Array.of_list (Core.Lac.generate ~pool g ~config ~sigs ~rounds) in
+      let errs = Core.Lac_memo.errors memo g lacs in
+      let base = Sim.Engine.simulate g patterns in
+      let batch = Errest.Batch.create ?weights g ~metric ~golden ~base in
+      let fresh =
+        Errest.Batch.candidate_errors batch
+          (Array.map
+             (fun (lac : Core.Lac.t) ->
+               let pos_sigs = Array.map (fun d -> base.(d)) lac.Core.Lac.divisors in
+               (lac.Core.Lac.target, Logic.Cover.eval_sigs lac.Core.Lac.cover ~pos_sigs))
+             lacs)
+      in
+      Array.iteri
+        (fun i (lac : Core.Lac.t) ->
+          if not (Float.equal errs.(i) fresh.(i)) then
+            Alcotest.failf "%s draw %d: %a scored %h, fresh %h" what draw Core.Lac.pp lac
+              errs.(i) fresh.(i);
+          (* Rebuilds are linear in the graph: on the large circuits only
+             the first candidates are size-checked. *)
+          if i < 48 then begin
+            let verdict =
+              match Core.Lac_memo.rebuild memo rb g lac with
+              | Some r ->
+                  Graph.recycle rb r;
+                  true
+              | None -> false
+            in
+            let r =
+              Graph.rebuild
+                ~replace:(fun id ->
+                  if id = lac.Core.Lac.target then Some (Core.Lac.replacement lac) else None)
+                g
+            in
+            let expected =
+              Graph.num_ands r < Graph.num_ands g && Aig.Topo.depth r <= depth_limit
+            in
+            if verdict <> expected then
+              Alcotest.failf "%s draw %d: %a verdict %b, fresh %b" what draw Core.Lac.pp lac
+                verdict expected;
+            if expected && !next = None then next := Some r
+          end)
+        lacs)
+    [ 32; 17; 32; 8; 32 ];
+  match !next with Some r -> r | None -> Graph.compact g
+
+let test_memo_oracle () =
+  let graphs =
+    List.init 100 (fun seed -> (Printf.sprintf "gen %d" seed, gen_circuit seed))
+    @ List.map
+        (fun name -> (name, Graph.compact ((Option.get (Circuits.Suite.find name)).build ())))
+        approx_suite
+  in
+  let hits = ref 0 and skipped = ref 0 and answers = ref 0 in
+  Parallel.Pool.with_pool ~jobs:test_jobs (fun wide ->
+      Parallel.Pool.with_pool ~jobs:1 (fun narrow ->
+          List.iteri
+            (fun i (name, g) ->
+              let npis = Graph.num_pis g in
+              List.iter
+                (fun (dname, distr) ->
+                  let patterns, weights =
+                    match distr with
+                    | Errest.Distr.Unif ->
+                        (Sim.Patterns.random (Logic.Rng.create i) ~npis ~len:300, None)
+                    | Errest.Distr.Enum _ ->
+                        (Errest.Distr.signatures distr, Errest.Distr.round_weights distr)
+                  in
+                  let golden = Sim.Engine.simulate_pos g patterns in
+                  List.iter
+                    (fun metric ->
+                      List.iter
+                        (fun pool ->
+                          let what =
+                            Printf.sprintf "%s %s %s jobs=%d" name dname
+                              (Errest.Metrics.kind_to_string metric)
+                              (Parallel.Pool.size pool)
+                          in
+                          (* A tight depth limit, so that some raw rebuilds
+                             fail on depth rather than size. *)
+                          let depth_limit = Aig.Topo.depth g in
+                          let memo =
+                            Core.Lac_memo.create ?weights ~pool ~metric ~golden ~patterns
+                              ~depth_limit ()
+                          in
+                          let round g =
+                            memo_rounds ~what ~pool ~memo ~distr ?weights ~metric ~golden
+                              ~patterns ~depth_limit g
+                          in
+                          (* The second graph follows an accepted candidate:
+                             nothing memoised on the first may answer for it. *)
+                          ignore (round (round g) : Graph.t);
+                          let st = Core.Lac_memo.stats memo in
+                          hits := !hits + st.Core.Lac_memo.memoised;
+                          skipped := !skipped + st.Core.Lac_memo.rebuilds_skipped;
+                          answers :=
+                            !answers + st.Core.Lac_memo.memoised
+                            + st.Core.Lac_memo.kernel.Errest.Batch.scored)
+                        [ narrow; wide ])
+                    [ Errest.Metrics.Er; Errest.Metrics.Mred ])
+                [ ("unif", Errest.Distr.Unif); ("enum", enum_distr ~seed:i ~npis) ])
+            graphs));
+  check "most errors came from the memo" true (2 * !hits > !answers);
+  check "rejections were memoised" true (!skipped > 0)
 
 (* ---------- Flow (Algorithm 3) ---------- *)
 
@@ -516,6 +642,7 @@ let () =
           Alcotest.test_case "generation" `Quick test_lac_generation;
           Alcotest.test_case "limit" `Quick test_lac_respects_limit;
           Alcotest.test_case "ranked generation = eager oracle" `Quick test_lac_eager_oracle;
+          Alcotest.test_case "memo = fresh scoring and size checks" `Quick test_memo_oracle;
         ] );
       ( "flow",
         [

@@ -15,10 +15,7 @@ module Chunk = Parallel.Chunk
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let test_jobs =
-  match Sys.getenv_opt "ALSRAC_TEST_JOBS" with
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 2 -> n | _ -> 4)
-  | None -> 4
+let test_jobs = Util.test_jobs
 
 (* ---------- Pool stress ---------- *)
 

@@ -410,6 +410,123 @@ let test_faulty_run_still_journals () =
   check "fault counters persisted across resume" true
     (report.Core.Flow.guard_rejects >= 1 || report.Core.Flow.recovered_exns >= 1)
 
+(* ---------- Pinned outputs under fault plans ---------- *)
+
+(* Generated circuits whose runs have long stretches of iterations that
+   accept nothing.  Every fault sits two iterations into the longest such
+   stretch of the fault-free run, so the iterations before it have already
+   scored and size-checked candidates on the unchanged graph. *)
+let pin_profile = { Verify.Gen.default with Verify.Gen.npis = 10; npos = 6; nands = 150 }
+
+let pin_runs =
+  [ (1, "er", 13); (1, "mred", 13); (4, "er", 22); (4, "mred", 27); (5, "er", 13);
+    (5, "mred", 18) ]
+
+let pin_plans iteration =
+  [ ("none", []);
+    ("flip", [ Core.Fault.Flip_signatures { iteration; bit = 3 } ]);
+    ("corrupt", [ Core.Fault.Corrupt_lac { iteration } ]);
+    ("raise", [ Core.Fault.Raise_at { iteration } ]);
+    ( "flip+corrupt",
+      [ Core.Fault.Flip_signatures { iteration; bit = 3 };
+        Core.Fault.Corrupt_lac { iteration } ] ) ]
+
+let pin_config ~seed ~metric ~fault =
+  let metric = Option.get (Errest.Metrics.kind_of_string metric) in
+  { (Core.Config.default ~metric ~threshold:0.02) with Core.Config.seed; fault }
+
+let pin_row (g, (r : Core.Flow.report)) =
+  let events =
+    String.concat ";"
+      (List.map
+         (fun (e : Core.Flow.event) ->
+           Printf.sprintf "%d %d %h %d %d" e.Core.Flow.iteration e.Core.Flow.target
+             e.Core.Flow.est_error e.Core.Flow.ands_after e.Core.Flow.rounds)
+         r.Core.Flow.events)
+  in
+  Printf.sprintf "%s applied=%d events=%s stop=%s guard=%d quarantined=%d exns=%d rounds=%d"
+    (Digest.to_hex (Digest.string (Circuit_io.Aiger.graph_to_string g)))
+    r.Core.Flow.applied
+    (String.sub (Digest.to_hex (Digest.string events)) 0 12)
+    (Core.Flow.stop_reason_to_string r.Core.Flow.stop_reason)
+    r.Core.Flow.guard_rejects r.Core.Flow.quarantined r.Core.Flow.recovered_exns
+    r.Core.Flow.final_rounds
+
+(* Recorded with the unmemoised loop: the candidate memo must leave every
+   output byte and report field as it was. *)
+let pinned_rows =
+  [
+    "gen1 er none@13: 943a586fa5e6a633945cb1be76dc7015 applied=11 events=77636831a0c8 stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=4";
+    "gen1 er flip@13: 943a586fa5e6a633945cb1be76dc7015 applied=11 events=77636831a0c8 stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=4";
+    "gen1 er corrupt@13: 943a586fa5e6a633945cb1be76dc7015 applied=11 events=77636831a0c8 stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=4";
+    "gen1 er raise@13: 943a586fa5e6a633945cb1be76dc7015 applied=11 events=a46c7afde701 stop=budget-exhausted guard=0 quarantined=0 exns=1 rounds=4";
+    "gen1 er flip+corrupt@13: 943a586fa5e6a633945cb1be76dc7015 applied=11 events=77636831a0c8 stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=4";
+    "gen1 mred none@13: bd45cc870db8f282b90ba5081fa43c9f applied=11 events=4f33656db52a stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=5";
+    "gen1 mred flip@13: bd45cc870db8f282b90ba5081fa43c9f applied=11 events=4f33656db52a stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=5";
+    "gen1 mred corrupt@13: bd45cc870db8f282b90ba5081fa43c9f applied=11 events=4f33656db52a stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=5";
+    "gen1 mred raise@13: bd45cc870db8f282b90ba5081fa43c9f applied=11 events=4f33656db52a stop=budget-exhausted guard=0 quarantined=0 exns=1 rounds=5";
+    "gen1 mred flip+corrupt@13: bd45cc870db8f282b90ba5081fa43c9f applied=11 events=4f33656db52a stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=5";
+    "gen4 er none@22: 42ab4dc4e12db9d87d3a933edd716e86 applied=16 events=aad2e80740ea stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=4";
+    "gen4 er flip@22: 42ab4dc4e12db9d87d3a933edd716e86 applied=16 events=aad2e80740ea stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=4";
+    "gen4 er corrupt@22: 42ab4dc4e12db9d87d3a933edd716e86 applied=16 events=aad2e80740ea stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=4";
+    "gen4 er raise@22: 42ab4dc4e12db9d87d3a933edd716e86 applied=16 events=aad2e80740ea stop=budget-exhausted guard=0 quarantined=0 exns=1 rounds=4";
+    "gen4 er flip+corrupt@22: 42ab4dc4e12db9d87d3a933edd716e86 applied=16 events=aad2e80740ea stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=4";
+    "gen4 mred none@27: 3457f9ec6059c3700c663b21398e77c4 applied=18 events=94beb737896a stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=5";
+    "gen4 mred flip@27: ebe2b746bfaeb38eca476cf0ebf83803 applied=15 events=25c6a49f709d stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=28";
+    "gen4 mred corrupt@27: 3457f9ec6059c3700c663b21398e77c4 applied=18 events=94beb737896a stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=5";
+    "gen4 mred raise@27: 3457f9ec6059c3700c663b21398e77c4 applied=18 events=94beb737896a stop=budget-exhausted guard=0 quarantined=0 exns=1 rounds=5";
+    "gen4 mred flip+corrupt@27: ebe2b746bfaeb38eca476cf0ebf83803 applied=15 events=25c6a49f709d stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=28";
+    "gen5 er none@13: 1d2d140dcbb0a7b22f67454bd6f23cf5 applied=12 events=4084f067932e stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=4";
+    "gen5 er flip@13: 1d2d140dcbb0a7b22f67454bd6f23cf5 applied=12 events=4084f067932e stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=4";
+    "gen5 er corrupt@13: 1d2d140dcbb0a7b22f67454bd6f23cf5 applied=12 events=4084f067932e stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=4";
+    "gen5 er raise@13: 1d2d140dcbb0a7b22f67454bd6f23cf5 applied=12 events=4084f067932e stop=budget-exhausted guard=0 quarantined=0 exns=1 rounds=4";
+    "gen5 er flip+corrupt@13: 1d2d140dcbb0a7b22f67454bd6f23cf5 applied=12 events=4084f067932e stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=4";
+    "gen5 mred none@18: 83b0304a033fd96abe6d04a06d83f7db applied=13 events=c1a4b401bc86 stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=4";
+    "gen5 mred flip@18: 83b0304a033fd96abe6d04a06d83f7db applied=13 events=c1a4b401bc86 stop=budget-exhausted guard=0 quarantined=0 exns=0 rounds=4";
+    "gen5 mred corrupt@18: 83b0304a033fd96abe6d04a06d83f7db applied=13 events=c1a4b401bc86 stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=4";
+    "gen5 mred raise@18: 83b0304a033fd96abe6d04a06d83f7db applied=13 events=c1a4b401bc86 stop=budget-exhausted guard=0 quarantined=0 exns=1 rounds=4";
+    "gen5 mred flip+corrupt@18: 83b0304a033fd96abe6d04a06d83f7db applied=13 events=c1a4b401bc86 stop=budget-exhausted guard=1 quarantined=1 exns=0 rounds=4"
+  ]
+
+let test_jobs = Util.test_jobs
+
+let test_faults_pinned () =
+  let rows = ref [] in
+  List.iter
+    (fun (seed, metric, iteration) ->
+      let g = Verify.Gen.random ~profile:pin_profile seed in
+      List.iter
+        (fun (plan_name, fault) ->
+          let name = Printf.sprintf "gen%d %s %s@%d" seed metric plan_name iteration in
+          let config = pin_config ~seed ~metric ~fault in
+          let row = pin_row (Core.Flow.run ~config g) in
+          rows := (name ^ ": " ^ row) :: !rows;
+          check_str (name ^ " at jobs " ^ string_of_int test_jobs) row
+            (pin_row (Core.Flow.run ~config:{ config with Core.Config.jobs = test_jobs } g));
+          (* Killed right after the last accept before the fault, resumed
+             under the same plan: the fault fires in the resumed process. *)
+          let _, r = Core.Flow.run ~config g in
+          let before =
+            List.length
+              (List.filter (fun (e : Core.Flow.event) -> e.Core.Flow.iteration < iteration)
+                 r.Core.Flow.events)
+          in
+          let dir = fresh_dir () in
+          let killed =
+            { config with Core.Config.fault = Core.Fault.Kill_after { applied = before } :: fault }
+          in
+          (match Core.Flow.run ~journal:dir ~config:killed g with
+          | _ -> Alcotest.failf "%s: expected the injected kill to fire" name
+          | exception Core.Fault.Killed -> ());
+          check_str (name ^ " after kill and resume") row
+            (pin_row (Core.Flow.resume ~fault dir)))
+        (pin_plans iteration))
+    pin_runs;
+  let rows = List.rev !rows in
+  if rows <> pinned_rows then
+    Alcotest.failf "pinned rows differ; this build gives:\n%s"
+      (String.concat "\n" (List.map (Printf.sprintf "    %S;") rows))
+
 let () =
   Alcotest.run "resilience"
     [
@@ -452,5 +569,6 @@ let () =
           Alcotest.test_case "injected exception recovered" `Slow
             test_injected_exception_recovered;
           Alcotest.test_case "faults + journal compose" `Slow test_faulty_run_still_journals;
+          Alcotest.test_case "pinned outputs under faults" `Slow test_faults_pinned;
         ] );
     ]

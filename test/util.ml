@@ -97,3 +97,10 @@ let contains s sub =
   let n = String.length sub in
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
   at 0
+
+(* Pool size of the parallel side of determinism checks: ALSRAC_TEST_JOBS
+   when it names at least 2 lanes, 4 otherwise. *)
+let test_jobs =
+  match Sys.getenv_opt "ALSRAC_TEST_JOBS" with
+  | Some s -> ( match int_of_string_opt s with Some n when n >= 2 -> n | _ -> 4)
+  | None -> 4
