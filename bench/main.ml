@@ -1126,71 +1126,28 @@ let same_structure lg ng =
        !ok
      end
 
-(* The new int-keyed fraig classification, replicated from [Sim.Fraig] the
-   same way [old_kernel] above replicates the dense scoring kernel: direct
-   word hashing of the phase-canonical signature, collisions resolved by
-   exact word comparison.  Returns the same count as
+(* The int-keyed fraig classification of [Sim.Fraig]: the phase-canonical
+   signature hashed word-wise ([Bitvec.canon_hash]), collisions resolved by
+   exact comparison.  Returns the same count as
    [Legacy_core.classify_string]. *)
-let classify_int ~(sigs : Logic.Bitvec.t array) ~(ids : int array) ~rounds =
+let classify_int ~(sigs : Logic.Bitvec.t array) ~(ids : int array) =
   let module Bitvec = Logic.Bitvec in
-  let tail =
-    let rem = rounds mod Bitvec.word_bits in
-    if rem = 0 then Bitvec.word_mask else (1 lsl rem) - 1
-  in
-  let canon_hash s invert =
-    let words = Bitvec.unsafe_words s in
-    let nw = Array.length words in
-    let inv = if invert then Bitvec.word_mask else 0 in
-    let h = ref 0 in
-    for i = 0 to nw - 1 do
-      let w = words.(i) lxor inv in
-      let w = if i = nw - 1 then w land tail else w in
-      h := (!h * 0x9E3779B1) lxor w
-    done;
-    let h = !h lxor (!h lsr 16) in
-    h * 0x85EBCA77 land max_int
-  in
-  let canon_equal a inva b invb =
-    let wa = Bitvec.unsafe_words a and wb = Bitvec.unsafe_words b in
-    let nw = Array.length wa in
-    let eq = ref true in
-    let i = ref 0 in
-    if inva = invb then
-      while !eq && !i < nw do
-        if wa.(!i) <> wb.(!i) then eq := false;
-        incr i
-      done
-    else
-      while !eq && !i < nw do
-        let m = if !i = nw - 1 then tail else Bitvec.word_mask in
-        if wa.(!i) lxor wb.(!i) <> m then eq := false;
-        incr i
-      done;
-    !eq
-  in
-  let classes :
-      (int, (Bitvec.t * bool * (int * bool) list ref) list ref) Hashtbl.t =
-    Hashtbl.create 256
-  in
+  let classes : (int, (Bitvec.t * int list ref) list ref) Hashtbl.t = Hashtbl.create 256 in
   Array.iter
     (fun id ->
       let s = sigs.(id) in
-      let phase = rounds > 0 && Bitvec.get s 0 in
-      let h = canon_hash s phase in
+      let h = Bitvec.canon_hash s in
       match Hashtbl.find_opt classes h with
-      | None -> Hashtbl.add classes h (ref [ (s, phase, ref [ (id, phase) ]) ])
+      | None -> Hashtbl.add classes h (ref [ (s, ref [ id ]) ])
       | Some bucket -> (
-          match
-            List.find_opt (fun (rs, rp, _) -> canon_equal s phase rs rp) !bucket
-          with
-          | Some (_, _, members) -> members := (id, phase) :: !members
-          | None -> bucket := (s, phase, ref [ (id, phase) ]) :: !bucket))
+          match List.find_opt (fun (rs, _) -> Bitvec.canon_equal s rs) !bucket with
+          | Some (_, members) -> members := id :: !members
+          | None -> bucket := (s, ref [ id ]) :: !bucket))
     ids;
   Hashtbl.fold
     (fun _ bucket acc ->
       List.fold_left
-        (fun acc (_, _, members) ->
-          if List.length !members >= 2 then acc + 1 else acc)
+        (fun acc (_, members) -> if List.length !members >= 2 then acc + 1 else acc)
         acc !bucket)
     classes 0
 
@@ -1317,12 +1274,12 @@ let core_rows (e : Circuits.Suite.entry) =
     Array.of_list (List.rev !acc)
   in
   let fraig_ok =
-    Legacy_core.classify_string ~sigs ~ids ~rounds = classify_int ~sigs ~ids ~rounds
+    Legacy_core.classify_string ~sigs ~ids ~rounds = classify_int ~sigs ~ids
   in
   let fraig =
     row "fraig-classify" ~checked:fraig_ok
       (fun () -> ignore (Legacy_core.classify_string ~sigs ~ids ~rounds))
-      (fun () -> ignore (classify_int ~sigs ~ids ~rounds))
+      (fun () -> ignore (classify_int ~sigs ~ids))
   in
   [ construction; strash_hit; rebuild; views_cold; views_warm; clone; fraig ]
 

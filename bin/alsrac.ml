@@ -77,6 +77,13 @@ let stats_cmd spec mapping =
 
 (* ---------- opt ---------- *)
 
+let print_resub_stats (s : Core.Resub_exact.stats) =
+  Printf.printf
+    "resub: %d accepted over %d passes (%d targets, %d derived, %d sim-refuted, %d \
+     undecided, %d refuted; %d scored)\n"
+    s.accepted s.passes s.targets s.derived s.sim_refuted s.cec_undecided s.cec_refuted
+    s.batch.Errest.Batch.scored
+
 let opt_cmd spec fraig exact_resub output =
   let* g = load spec in
   let before = Aig.Graph.num_ands g in
@@ -97,16 +104,7 @@ let opt_cmd spec fraig exact_resub output =
        (("compress2" :: (if exact_resub then [ "resub" ] else []))
        @ (if fraig then [ "fraig" ] else [])))
     before (Aig.Graph.num_ands g') (Aig.Topo.depth g) (Aig.Topo.depth g');
-  if exact_resub then begin
-    let s = !rstats in
-    Printf.printf
-      "resub: %d accepted over %d passes (%d targets, %d feasible sets, %d \
-       derived, %d sim-refuted, %d undecided, %d refuted)\n"
-      s.Core.Resub_exact.accepted s.Core.Resub_exact.passes
-      s.Core.Resub_exact.targets s.Core.Resub_exact.feasible
-      s.Core.Resub_exact.derived s.Core.Resub_exact.sim_refuted
-      s.Core.Resub_exact.cec_undecided s.Core.Resub_exact.cec_refuted
-  end;
+  if exact_resub then print_resub_stats !rstats;
   match output with Some path -> save path g' | None -> Ok ()
 
 (* ---------- eval ---------- *)
@@ -296,17 +294,7 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
              s.Errest.Batch.early_exits s.Errest.Batch.frontier_nodes
              s.Errest.Batch.changed_pos s.Errest.Batch.changed_words
              r.Core.Flow.rebuilds_skipped);
-        (match r.Core.Flow.resub with
-        | Some s ->
-            Printf.printf
-              "resub: %d accepted over %d passes (%d targets, %d feasible sets, \
-               %d derived, %d sim-refuted, %d undecided, %d refuted; %d scored)\n"
-              s.Core.Resub_exact.accepted s.Core.Resub_exact.passes
-              s.Core.Resub_exact.targets s.Core.Resub_exact.feasible
-              s.Core.Resub_exact.derived s.Core.Resub_exact.sim_refuted
-              s.Core.Resub_exact.cec_undecided s.Core.Resub_exact.cec_refuted
-              s.Core.Resub_exact.batch.Errest.Batch.scored
-        | None -> ());
+        Option.iter print_resub_stats r.Core.Flow.resub;
         if Array.length r.Core.Flow.pool > 1 then begin
           Printf.printf "parallel: %s (wall %.1fs, cpu %.1fs)\n"
             (Errest.Observability.pool_summary r.Core.Flow.pool)

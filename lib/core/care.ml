@@ -84,6 +84,8 @@ let scan ?mask ~sigs ~node ~divisors ~rounds () =
       done);
   { divisors; table; care_count = !care_count }
 
+let feasible t = Array.for_all (function Conflict -> false | Unseen | Value _ -> true) t.table
+
 let care_tuples t =
   let acc = ref [] in
   for i = Array.length t.table - 1 downto 0 do

@@ -34,5 +34,11 @@ val scan :
     cannot reach an output impose no constraint (an extension beyond the
     paper, off by default; see DESIGN.md §5). *)
 
+val feasible : t -> bool
+(** Theorem 1 restricted to the simulated patterns (Section III-B2): the
+    divisors can form a resubstitution function of the target when no two
+    rounds produce the same divisor tuple with different target values,
+    i.e. the table has no {!Conflict} entry. *)
+
 val care_tuples : t -> int list
 (** Observed tuples, ascending. *)

@@ -103,8 +103,7 @@ let iter_sets g ~max_tfi v f =
 (* AND nodes of the target's MFFC that actually die when the target is
    replaced by a function of [divisors]: a divisor inside the MFFC keeps
    itself and its in-MFFC transitive fanin alive.  [in_mffc] is the node's
-   membership table, built once per target and shared across its (many)
-   divisor sets.  Shared by the LAC generator and the exact-resub engine. *)
+   membership table.  The tests' reference for the walk's keys below. *)
 let true_savings g ~in_mffc ~mffc_size divisors =
   (* Fast path: divisors outside the MFFC keep nothing alive. *)
   if Array.for_all (fun d -> not (Hashtbl.mem in_mffc d)) divisors then mffc_size
@@ -130,96 +129,187 @@ let select g ~max_tfi v =
 
 (* ---------- Ranked lazy walk ----------
 
-   The sets of [iter_sets] in (savings descending, enumeration index
-   ascending) order, i.e. what a stable sort of [select] by [true_savings]
-   yields, built only as far as the consumer reads.  Folding in
-   [Graph.and_] gives every AND two distinct non-constant fanins [f0 < f1],
-   so the enumeration is block 0 = {f1}, {u, f1} for u in the TFI list,
-   then block 1 = {f0}, {u, f0}; the only duplicate is {f0, f1}, emitted in
-   block 0 when [f0] survived the [max_tfi] cap and in block 1 otherwise.
+   A target's divisor sets come in blocks, in enumeration order.  Every set
+   has an integer key, and every block an upper bound on its keys.  The
+   walk hands the sets out in (key descending, enumeration index ascending)
+   order, i.e. what a stable sort by key yields, built only as far as the
+   consumer reads.  A set reaching the bound of everything not yet
+   enumerated is handed out the moment enumeration reaches it; lower ones
+   wait in per-key buckets, as int codes, until the bound drops to their
+   key. *)
 
-   [true_savings] of a set is the MFFC size minus the size of the union of
-   its divisors' in-MFFC fanin closures, so with one closure bitset per MFFC
-   node every set's savings is a popcount (and {u, f} saves exactly what
-   {f} does when u is outside the MFFC).  Adding a divisor never raises the
-   savings, so block b is bounded by the savings of its kept fanin alone.
-   A set reaching the bound of everything not yet enumerated is handed out
-   the moment enumeration reaches it; lower ones wait in per-savings
-   buckets (as [2u + block], [u = 0] for the singleton: node 0 is never a
-   TFI candidate) until the bound drops to their value. *)
+type blocks = {
+  least : int;  (* no key is lower *)
+  bounds : int array;  (* per block, an upper bound on its keys *)
+  enumerate : int -> (int -> int -> unit) -> unit;
+      (* [enumerate b visit] calls [visit key code] on block [b]'s sets *)
+  set_of : int -> int array;  (* the divisor set of a code *)
+}
 
-let iter_ranked g ~max_tfi ~mffc v f =
-  if Graph.is_and g v then begin
+let iter_ranked t f =
+  let n = Array.length t.bounds in
+  (* [rest.(b)] bounds every set of blocks [b] onwards. *)
+  let rest = Array.make (n + 1) t.least in
+  for b = n - 1 downto 0 do
+    rest.(b) <- max t.bounds.(b) rest.(b + 1)
+  done;
+  let bound = ref rest.(0) in
+  let waiting = Array.make (!bound - t.least) [] in
+  let exception Stop in
+  let emit key code =
+    match f ~key (t.set_of code) with `Stop -> raise Stop | `Continue -> ()
+  in
+  (* Hand out every waiting set at or above [down_to], best first. *)
+  let lower_bound down_to =
+    for key = !bound - 1 downto down_to do
+      List.iter (emit key) (List.rev waiting.(key - t.least));
+      waiting.(key - t.least) <- []
+    done;
+    bound := down_to
+  in
+  let visit key code =
+    if key = !bound then emit key code
+    else waiting.(key - t.least) <- code :: waiting.(key - t.least)
+  in
+  try
+    for b = 0 to n - 1 do
+      t.enumerate b visit;
+      lower_bound rest.(b + 1)
+    done
+  with Stop -> ()
+
+(* [true_savings] by popcount.  It is the MFFC size [m] minus the size of
+   the union of the divisors' in-MFFC fanin closures, so with one closure
+   bitset per MFFC node every set's savings is a popcount, and a divisor
+   outside the MFFC changes nothing.  Returns [m], [local] (a node's
+   position in the MFFC, -1 outside) and [savings] of a set of at most three
+   divisors given by their positions (-1 outside the MFFC or absent). *)
+let closure_savings g mffc =
+  let members = Array.of_list mffc in
+  Array.sort compare members;
+  let m = Array.length members in
+  let local x =
+    let rec search lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let y = members.(mid) in
+        if y = x then mid else if y < x then search (mid + 1) hi else search lo mid
+    in
+    search 0 m
+  in
+  (* Ascending ids are topological, so fanin closures are ready in time. *)
+  let closure = Array.map (fun _ -> Bitvec.create m) members in
+  Array.iteri
+    (fun i x ->
+      Bitvec.set closure.(i) i true;
+      let add l =
+        let j = local (Graph.node_of l) in
+        if j >= 0 then Bitvec.logor_inplace closure.(i) closure.(j)
+      in
+      add (Graph.fanin0 g x);
+      add (Graph.fanin1 g x))
+    members;
+  let size = Array.map Bitvec.popcount closure in
+  let one j = if j < 0 then m else m - size.(j) in
+  let two a b =
+    if a < 0 then one b
+    else if b < 0 then one a
+    else m - ((size.(a) + size.(b) + Bitvec.popcount_xor closure.(a) closure.(b)) / 2)
+  in
+  let union = Bitvec.create m in
+  let savings a b c =
+    if c < 0 then two a b
+    else if a < 0 then two b c
+    else if b < 0 then two a c
+    else begin
+      Bitvec.blit closure.(a) union;
+      Bitvec.logor_inplace union closure.(b);
+      Bitvec.logor_inplace union closure.(c);
+      m - Bitvec.popcount union
+    end
+  in
+  (m, local, savings)
+
+(* Folding in [Graph.and_] gives every AND two distinct non-constant fanins
+   [f0 < f1], so the sets of [iter_sets] are block 0 = {f1}, {u, f1} for u
+   in the TFI list, then block 1 = {f0}, {u, f0}; the only duplicate is
+   {f0, f1}, emitted in block 0 when [f0] survived the [max_tfi] cap and in
+   block 1 otherwise.  Adding a divisor never raises the savings, so block
+   b is bounded by the savings of its kept fanin alone.  A set is coded as
+   [2u + block], [u = 0] for the singleton: node 0 is never a TFI
+   candidate. *)
+let lac_blocks g ~max_tfi ~mffc v =
+  if not (Graph.is_and g v) then
+    { least = 0; bounds = [||]; enumerate = (fun _ _ -> ()); set_of = (fun _ -> [||]) }
+  else begin
     let f0 = Graph.node_of (Graph.fanin0 g v) in
     let f1 = Graph.node_of (Graph.fanin1 g v) in
     let tfi = tfi_candidates g ~max_tfi v in
-    let members = Array.of_list mffc in
-    Array.sort compare members;
-    let m = Array.length members in
-    (* Position of node [x] in [members], or -1 outside the MFFC. *)
-    let local x =
-      let rec search lo hi =
-        if lo >= hi then -1
-        else
-          let mid = (lo + hi) / 2 in
-          let y = members.(mid) in
-          if y = x then mid else if y < x then search (mid + 1) hi else search lo mid
-      in
-      search 0 m
-    in
-    (* Ascending ids are topological, so fanin closures are ready in time. *)
-    let closure = Array.map (fun _ -> Bitvec.create m) members in
-    Array.iteri
-      (fun i x ->
-        Bitvec.set closure.(i) i true;
-        let add l =
-          let j = local (Graph.node_of l) in
-          if j >= 0 then Bitvec.logor_inplace closure.(i) closure.(j)
-        in
-        add (Graph.fanin0 g x);
-        add (Graph.fanin1 g x))
-      members;
-    let size = Array.map Bitvec.popcount closure in
-    (* [true_savings] of {u, k}; [u = 0] stands for {k} alone. *)
-    let savings u k =
-      let ju = local u and jk = local k in
-      if ju < 0 then if jk < 0 then m else m - size.(jk)
-      else if jk < 0 then m - size.(ju)
-      else m - ((size.(ju) + size.(jk) + Bitvec.popcount_xor closure.(ju) closure.(jk)) / 2)
-    in
+    let _, local, savings = closure_savings g mffc in
     let kept = [| f1; f0 |] in
-    let set_of code =
-      let u = code lsr 1 and k = kept.(code land 1) in
-      if u = 0 then [| k |] else if u < k then [| u; k |] else [| k; u |]
-    in
-    let exception Stop in
-    let emit s code =
-      match f ~savings:s (set_of code) with `Stop -> raise Stop | `Continue -> ()
-    in
-    let s0 = savings 0 f0 and s1 = savings 0 f1 in
-    let bound = ref (max s0 s1) in
-    let waiting = Array.make !bound [] in
-    (* Hand out every waiting set at or above [down_to], best first. *)
-    let lower_bound down_to =
-      for s = !bound - 1 downto down_to do
-        List.iter (emit s) (List.rev waiting.(s));
-        waiting.(s) <- []
-      done;
-      bound := down_to
-    in
-    let visit s code = if s = !bound then emit s code else waiting.(s) <- code :: waiting.(s) in
-    let block b ~skip =
-      let k = kept.(b) in
-      visit (savings 0 k) b;
-      List.iter (fun u -> if u <> k && u <> skip then visit (savings u k) ((u lsl 1) lor b)) tfi
-    in
-    try
-      block 0 ~skip:0;
-      lower_bound s0;
-      block 1 ~skip:(if List.mem f0 tfi then f1 else 0);
-      lower_bound 0
-    with Stop -> ()
+    let kept_pos = Array.map local kept in
+    let skip = [| 0; (if List.mem f0 tfi then f1 else 0) |] in
+    let single b = savings kept_pos.(b) (-1) (-1) in
+    {
+      least = 0;
+      bounds = [| single 0; single 1 |];
+      enumerate =
+        (fun b visit ->
+          let k = kept.(b) and kp = kept_pos.(b) and skip = skip.(b) in
+          visit (single b) b;
+          List.iter
+            (fun u ->
+              if u <> k && u <> skip then visit (savings (local u) kp (-1)) ((u lsl 1) lor b))
+            tfi);
+      set_of =
+        (fun code ->
+          let u = code lsr 1 and k = kept.(code land 1) in
+          if u = 0 then [| k |] else if u < k then [| u; k |] else [| k; u |]);
+    }
   end
+
+(* Exact resub's sets are positions i < j < l in [divs], coded as the
+   base-(n + 1) digits i + 1, j + 1, l + 1, lowest first (0 = absent).
+   Savings never exceed the MFFC size [m], so a k-set's key is at most
+   m - (k - 1) and at least -2. *)
+let resub_blocks g ~mffc ~pairs ~triples divs =
+  let n = Array.length divs in
+  let m, local, savings = closure_savings g mffc in
+  let pos = Array.map local divs in
+  let base = n + 1 in
+  let rec digits code =
+    if code = 0 then [] else divs.((code mod base) - 1) :: digits (code / base)
+  in
+  let nt = min n triples and np = min n pairs in
+  {
+    least = -2;
+    bounds = [| m - 2; m - 1; m |];
+    enumerate =
+      (fun b visit ->
+        match b with
+        | 0 ->
+            for i = 0 to nt - 1 do
+              for j = i + 1 to nt - 1 do
+                for l = j + 1 to nt - 1 do
+                  visit
+                    (savings pos.(i) pos.(j) pos.(l) - 2)
+                    (i + 1 + (base * (j + 1 + (base * (l + 1)))))
+                done
+              done
+            done
+        | 1 ->
+            for i = 0 to np - 1 do
+              for j = i + 1 to np - 1 do
+                visit (savings pos.(i) pos.(j) (-1) - 1) (i + 1 + (base * (j + 1)))
+              done
+            done
+        | _ ->
+            for i = 0 to n - 1 do
+              visit (savings pos.(i) (-1) (-1)) (i + 1)
+            done);
+    set_of = (fun code -> Array.of_list (digits code));
+  }
 
 (* ---------- Graph-wide signature-filtered collection ----------
 
@@ -228,9 +318,8 @@ let iter_ranked g ~max_tfi ~mffc v f =
    level not above the target's, nearest-first.  With signatures, nodes that
    are constant on the sample or duplicate an already-kept divisor's
    signature (in either phase) are dropped — they cannot refine the care
-   table, only blow up its size.  Hashing is over the raw signature words
-   with phase normalization, collisions resolved by exact comparison, as in
-   [Sim.Fraig]. *)
+   table, only blow up its size.  Classes are keyed by the phase-canonical
+   signature ([Bitvec.canon_hash]), as in [Sim.Fraig]. *)
 
 let collect g ?sigs ~tfo ~max v =
   let lev = Graph.levels g in
@@ -244,64 +333,22 @@ let collect g ?sigs ~tfo ~max v =
     match sigs with
     | None -> fun _ -> true
     | Some sigs ->
-        let rounds = if Array.length sigs = 0 then 0 else Bitvec.length sigs.(0) in
-        let tail =
-          let rem = rounds mod Bitvec.word_bits in
-          if rem = 0 then Bitvec.word_mask else (1 lsl rem) - 1
-        in
-        let canon_hash s invert =
-          let words = Bitvec.unsafe_words s in
-          let nw = Array.length words in
-          let inv = if invert then Bitvec.word_mask else 0 in
-          let h = ref 0 in
-          for i = 0 to nw - 1 do
-            let w = words.(i) lxor inv in
-            let w = if i = nw - 1 then w land tail else w in
-            h := (!h * 0x9E3779B1) lxor w
-          done;
-          let h = !h lxor (!h lsr 16) in
-          h * 0x85EBCA77 land max_int
-        in
-        let canon_equal a inva b invb =
-          let wa = Bitvec.unsafe_words a and wb = Bitvec.unsafe_words b in
-          let nw = Array.length wa in
-          let eq = ref true in
-          let i = ref 0 in
-          if inva = invb then
-            while !eq && !i < nw do
-              if wa.(!i) <> wb.(!i) then eq := false;
-              incr i
-            done
-          else
-            while !eq && !i < nw do
-              let m = if !i = nw - 1 then tail else Bitvec.word_mask in
-              if wa.(!i) lxor wb.(!i) <> m then eq := false;
-              incr i
-            done;
-          !eq
-        in
-        let classes : (int, (Bitvec.t * bool) list ref) Hashtbl.t =
-          Hashtbl.create 128
-        in
+        let classes : (int, Bitvec.t list ref) Hashtbl.t = Hashtbl.create 128 in
         fun d ->
           let s = sigs.(d) in
-          if Bitvec.is_zero s || Bitvec.is_ones s then false
-          else begin
-            let phase = rounds > 0 && Bitvec.get s 0 in
-            let h = canon_hash s phase in
-            match Hashtbl.find_opt classes h with
-            | None ->
-                Hashtbl.add classes h (ref [ (s, phase) ]);
-                true
-            | Some bucket ->
-                if
-                  List.exists (fun (r, rp) -> canon_equal s phase r rp) !bucket
-                then false
-                else begin
-                  bucket := (s, phase) :: !bucket;
-                  true
-                end
-          end
+          (not (Bitvec.is_zero s || Bitvec.is_ones s))
+          &&
+          let h = Bitvec.canon_hash s in
+          match Hashtbl.find_opt classes h with
+          | None ->
+              Hashtbl.add classes h (ref [ s ]);
+              true
+          | Some bucket ->
+              (not (List.exists (Bitvec.canon_equal s) !bucket))
+              && begin
+                   bucket := s :: !bucket;
+                   true
+                 end
   in
   let out = ref [] and count = ref 0 in
   (try

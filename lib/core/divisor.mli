@@ -29,7 +29,7 @@ val iter_sets :
 
 val select : Aig.Graph.t -> max_tfi:int -> int -> int array list
 (** Eager version: all sets in enumeration order.  The reference that
-    tests hold {!iter_ranked} against; no production path calls it. *)
+    tests hold {!lac_blocks} against; no production path calls it. *)
 
 val true_savings :
   Aig.Graph.t ->
@@ -40,22 +40,41 @@ val true_savings :
 (** AND nodes of the target's MFFC that actually die when the target is
     replaced by a function of the divisors: a divisor inside the MFFC keeps
     itself and its in-MFFC transitive fanin alive.  [in_mffc] maps the
-    MFFC's node ids (from {!Aig.Cone.mffc}), built once per target. *)
+    MFFC's node ids (from {!Aig.Cone.mffc}), built once per target.  The
+    reference that tests hold the walk's keys against; no production path
+    calls it. *)
 
-val iter_ranked :
-  Aig.Graph.t ->
-  max_tfi:int ->
-  mffc:int list ->
-  int ->
-  (savings:int -> int array -> [ `Stop | `Continue ]) ->
-  unit
-(** [iter_ranked g ~max_tfi ~mffc v f] calls [f ~savings set] on the sets
-    of {!iter_sets} in descending {!true_savings} order, ties in
-    enumeration order — exactly a stable sort of {!select} by savings —
-    until [f] answers [`Stop] or the sets are exhausted.  [mffc] is the
-    target's MFFC ({!Aig.Cone.mffc}).  The walk is lazy: a set is built and
-    handed out as soon as no set still to be enumerated can outrank it, and
-    enumeration ends when [f] stops it. *)
+(** {1 Ranked lazy walk}
+
+    One walk serves both resubstitution engines.  A target's divisor sets
+    come in blocks, in enumeration order; every set has an integer key and
+    every block an upper bound on its keys.  Keys come from per-MFFC-node
+    closure bitsets (a popcount per set, equal to {!true_savings}). *)
+
+type blocks
+(** A target's divisor sets, grouped into keyed blocks. *)
+
+val iter_ranked : blocks -> (key:int -> int array -> [ `Stop | `Continue ]) -> unit
+(** [iter_ranked blocks f] calls [f ~key set] on every set in descending key
+    order, ties in enumeration order — exactly a stable sort by key — until
+    [f] answers [`Stop] or the sets are exhausted.  The walk is lazy: a set
+    is handed out as soon as no set still to be enumerated can outrank it,
+    and enumeration ends when [f] stops it. *)
+
+val lac_blocks : Aig.Graph.t -> max_tfi:int -> mffc:int list -> int -> blocks
+(** LAC sets: the sets of {!iter_sets} in two blocks (one per kept fanin),
+    keyed by {!true_savings}.  [mffc] is the target's MFFC
+    ({!Aig.Cone.mffc}). *)
+
+val resub_blocks :
+  Aig.Graph.t -> mffc:int list -> pairs:int -> triples:int -> int array -> blocks
+(** [resub_blocks g ~mffc ~pairs ~triples divs]: exact-resub sets over the
+    divisor list [divs] (nearest-first, from {!collect}): every triple of
+    the first [triples] divisors, then every pair of the first [pairs],
+    then every divisor alone, each block in lexicographic position order,
+    keyed by {!true_savings} − (k − 1) for a k-set.  With divisors [[10; 20; 30; 40]] and caps 3/3 the enumeration
+    is [10,20,30] [10,20] [10,30] [20,30] [10] [20] [30] [40], so at equal
+    key a triple comes first.  A set lists its divisors in [divs] order. *)
 
 val collect :
   Aig.Graph.t ->

@@ -9,10 +9,10 @@ type t = {
 }
 
 (* Algorithm 2 stops at the first feasible sets in savings order, so the
-   sets are visited lazily in that order ([Divisor.iter_ranked]) and each is
-   care-scanned only when it comes up.  Deriving a function (and its
-   factored cost) decides whether a set yields a candidate; at most this
-   many sets per node are derived. *)
+   sets are visited lazily in that order ([Divisor.iter_ranked], keyed by
+   savings) and each is care-scanned only when it comes up.  Deriving a
+   function (and its factored cost) decides whether a set yields a
+   candidate; at most this many sets per node are derived. *)
 let derivations_per_node = 8
 
 (* Candidates of one target node, in the order the sequential flow has
@@ -25,21 +25,18 @@ let candidates_for ?obs g ~(config : Config.t) ~sigs ~rounds ~fanouts v =
   let found = ref 0 and derived = ref 0 in
   let quota_met () = !derived >= derivations_per_node || !found >= config.lac_limit in
   let candidates = ref [] in
-  Divisor.iter_ranked g ~max_tfi:config.max_tfi_divisors ~mffc v
-    (fun ~savings divisors ->
+  Divisor.iter_ranked (Divisor.lac_blocks g ~max_tfi:config.max_tfi_divisors ~mffc v)
+    (fun ~key:savings divisors ->
       if quota_met () || savings < 1 then `Stop
       else begin
-        let care = Care.scan ?mask ~sigs ~node:v ~divisors ~rounds () in
-        if Feasibility.ok care then begin
-          incr derived;
-          let cover = Resub.derive care in
-          let expr = Resub.expr_of_cover cover in
-          let gain = savings - Logic.Factor.and2_cost expr in
-          if gain >= 0 then begin
-            incr found;
-            candidates := { target = v; divisors; cover; expr; gain } :: !candidates
-          end
-        end;
+        (match Resub.attempt ?mask ~sigs ~rounds ~node:v ~savings divisors with
+        | Some (cover, expr, gain) ->
+            incr derived;
+            if gain >= 0 then begin
+              incr found;
+              candidates := { target = v; divisors; cover; expr; gain } :: !candidates
+            end
+        | None -> ());
         if quota_met () then `Stop else `Continue
       end);
   !candidates

@@ -26,9 +26,10 @@ val generate :
   t list
 (** [sigs] are node signatures of the care-pattern simulation ([rounds]
     rounds, cf. Algorithm 2 line 1).  At most [config.lac_limit] candidates
-    per node.  Each node's divisor sets are visited in savings order
-    ({!Divisor.iter_ranked}) and care-scanned one at a time, until the
-    node's quota is met or the savings drop below one AND.  [obs] (per-node
+    per node.  Each node's divisor sets ({!Divisor.lac_blocks}) are
+    visited in savings order ({!Divisor.iter_ranked}) and tried one at a
+    time ({!Resub.attempt}), until the node's quota is met or the savings
+    drop below one AND.  [obs] (per-node
     observability masks) enables the ODC-aware care sets of
     [Config.use_odc].  With [?pool], target nodes are processed
     concurrently; the returned list — contents and order — is identical at

@@ -55,3 +55,12 @@ let derive (care : Care.t) =
   else minimize care
 
 let expr_of_cover = Logic.Factor.of_cover
+
+let attempt ?mask ~sigs ~rounds ~node ~savings divisors =
+  let care = Care.scan ?mask ~sigs ~node ~divisors ~rounds () in
+  if Care.feasible care then begin
+    let cover = derive care in
+    let expr = expr_of_cover cover in
+    Some (cover, expr, savings - Logic.Factor.and2_cost expr)
+  end
+  else None

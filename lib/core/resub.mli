@@ -18,3 +18,19 @@ val derive : Care.t -> Logic.Cover.t
 
 val expr_of_cover : Logic.Cover.t -> Logic.Factor.expr
 (** Factored form for AIG insertion. *)
+
+val attempt :
+  ?mask:Logic.Bitvec.t ->
+  sigs:Logic.Bitvec.t array ->
+  rounds:int ->
+  node:int ->
+  savings:int ->
+  int array ->
+  (Logic.Cover.t * Logic.Factor.expr * int) option
+(** One resubstitution attempt, the step both engines take on each set the
+    ranked walk ({!Divisor.iter_ranked}) hands out: scan the care set of
+    [node] at the divisors ({!Care.scan}, [mask] as there); if it is
+    {!Care.feasible}, {!derive} the cover and return it with its factored
+    form and the net gain [savings - Logic.Factor.and2_cost expr], where
+    [savings] is the set's {!Divisor.true_savings}.  [None] when the set is
+    infeasible. *)

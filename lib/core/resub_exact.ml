@@ -5,10 +5,6 @@ type config = {
   rounds : int;
   check_rounds : int;
   seed : int;
-  max_divisors : int;
-  pair_divisors : int;
-  triple_divisors : int;
-  derivations_per_target : int;
   max_passes : int;
   cec_rounds : int;
   cec_effort : Verify.Cec.effort;
@@ -20,10 +16,6 @@ let default =
     rounds = 1024;
     check_rounds = 2048;
     seed = 1;
-    max_divisors = 48;
-    pair_divisors = 20;
-    triple_divisors = 10;
-    derivations_per_target = 4;
     max_passes = 4;
     cec_rounds = 256;
     cec_effort = Verify.Cec.Fast;
@@ -33,7 +25,6 @@ let default =
 type stats = {
   passes : int;
   targets : int;
-  feasible : int;
   derived : int;
   accepted : int;
   sim_refuted : int;
@@ -46,7 +37,6 @@ let zero_stats =
   {
     passes = 0;
     targets = 0;
-    feasible = 0;
     derived = 0;
     accepted = 0;
     sim_refuted = 0;
@@ -59,7 +49,6 @@ let add_stats a b =
   {
     passes = a.passes + b.passes;
     targets = a.targets + b.targets;
-    feasible = a.feasible + b.feasible;
     derived = a.derived + b.derived;
     accepted = a.accepted + b.accepted;
     sim_refuted = a.sim_refuted + b.sim_refuted;
@@ -78,38 +67,14 @@ type cand = {
   gain : int;
 }
 
-(* Divisor-set enumeration order for one target: the nearest-first divisor
-   list restricted to its cheap prefixes.  k = 1 scans every collected
-   divisor; pairs and triples only the nearest few — the quadratic and
-   cubic neighborhoods are where care-scan time goes. *)
-let candidate_sets (cfg : config) divs =
-  let n = Array.length divs in
-  let sets = ref [] in
-  for i = n - 1 downto 0 do
-    sets := [| divs.(i) |] :: !sets
-  done;
-  let np = min n cfg.pair_divisors in
-  for i = np - 1 downto 0 do
-    for j = np - 1 downto i + 1 do
-      sets := [| divs.(i); divs.(j) |] :: !sets
-    done
-  done;
-  let nt = min n cfg.triple_divisors in
-  for i = nt - 1 downto 0 do
-    for j = nt - 1 downto i + 1 do
-      for k = nt - 1 downto j + 1 do
-        sets := [| divs.(i); divs.(j); divs.(k) |] :: !sets
-      done
-    done
-  done;
-  (* Built back-to-front, so the list is singletons, then pairs, then
-     triples, each group in nearest-first order. *)
-  !sets
-
-let constant_sig ~rounds b =
-  let v = Bitvec.create rounds in
-  if b then Bitvec.fill v true;
-  v
+(* Per target: the divisor collection cap; the nearest divisors whose pairs
+   and triples are tried (the quadratic and cubic neighbourhoods are where
+   care-scan time goes; every collected divisor is tried alone); and the
+   derivations, in the walk's order, before the target is left. *)
+let max_divisors = 48
+let pair_divisors = 20
+let triple_divisors = 10
+let derivations_per_target = 4
 
 (* One sweep over a fixed (compacted) graph [g].  Candidates are discovered
    on [g]'s signatures and committed as an ACCUMULATED replacement map: each
@@ -200,7 +165,7 @@ let sweep ?pool (cfg : config) ~rng g =
      byte-identity contract; a later pass starts with fresh patience. *)
   let undecided_streak = ref 0 in
   let gave_up () = !undecided_streak >= max cfg.undecided_patience 1 in
-  let try_commit v (c : cand) ~in_mffc =
+  let try_commit v (c : cand) ~mffc =
     Hashtbl.replace replacements v (Graph.Replace_expr (c.expr, c.divisors));
     let rollback () = Hashtbl.remove replacements v in
     match Graph.rebuild ~replace:(fun id -> Hashtbl.find_opt replacements id) g with
@@ -238,7 +203,7 @@ let sweep ?pool (cfg : config) ~rng g =
               cur := g';
               cur_ands := Graph.num_ands g';
               st := { !st with accepted = !st.accepted + 1 };
-              Hashtbl.iter (fun id () -> removed.(id) <- true) in_mffc
+              List.iter (fun id -> removed.(id) <- true) mffc
           | Verify.Cec.Undecided _ ->
               incr undecided_streak;
               rollback ();
@@ -253,28 +218,16 @@ let sweep ?pool (cfg : config) ~rng g =
       if fanouts.(v) > 0 && (not (removed.(v))) && not (gave_up ()) then begin
         st := { !st with targets = !st.targets + 1 };
         let mffc = Aig.Cone.mffc g ~fanouts v in
-        let mffc_size = List.length mffc in
-        let in_mffc = Hashtbl.create 16 in
-        List.iter (fun i -> Hashtbl.replace in_mffc i ()) mffc;
         let sig_v = sigs.(v) in
         (* 0-resub: the target is constant on every simulated pattern. *)
         let const_cand =
-          if rounds = 0 then None
-          else if Bitvec.is_zero sig_v then
+          if rounds > 0 && (Bitvec.is_zero sig_v || Bitvec.is_ones sig_v) then
             Some
               {
                 divisors = [||];
-                expr = Logic.Factor.Const false;
-                new_sig = constant_sig ~rounds false;
-                gain = mffc_size;
-              }
-          else if Bitvec.is_ones sig_v then
-            Some
-              {
-                divisors = [||];
-                expr = Logic.Factor.Const true;
-                new_sig = constant_sig ~rounds true;
-                gain = mffc_size;
+                expr = Logic.Factor.Const (Bitvec.get sig_v 0);
+                new_sig = sig_v;
+                gain = List.length mffc;
               }
           else None
         in
@@ -282,66 +235,34 @@ let sweep ?pool (cfg : config) ~rng g =
           if const_cand <> None then None
           else begin
             let tfo = Aig.Cone.tfo_mask g v in
-            let divs = Divisor.collect g ~sigs ~tfo ~max:cfg.max_divisors v in
-            if Array.length divs = 0 then None
-            else begin
-              (* Feasible sets with their savings bound; derivation
-                 (Espresso + factoring) only for the most promising few. *)
-              let feasible = ref [] in
-              List.iter
-                (fun set ->
-                  let k = Array.length set in
-                  let savings =
-                    Divisor.true_savings g ~in_mffc ~mffc_size set
-                  in
-                  (* k divisors need at least k-1 ANDs, so this bound is the
-                     best gain the set can possibly deliver. *)
-                  if savings - (k - 1) >= 1 then begin
-                    let care =
-                      Care.scan ~sigs ~node:v ~divisors:set ~rounds ()
-                    in
-                    if Feasibility.ok care then
-                      feasible := (savings, set, care) :: !feasible
-                  end)
-                (candidate_sets cfg divs);
-              let feasible = List.rev !feasible in
-              st := { !st with feasible = !st.feasible + List.length feasible };
-              let ranked =
-                List.stable_sort
-                  (fun (s1, d1, _) (s2, d2, _) ->
-                    let c =
-                      compare
-                        (s2 - (Array.length d2 - 1))
-                        (s1 - (Array.length d1 - 1))
-                    in
-                    c)
-                  feasible
-              in
-              let best = ref None in
-              let tried = ref 0 in
-              List.iter
-                (fun (savings, set, care) ->
-                  if !tried < cfg.derivations_per_target then begin
-                    incr tried;
-                    st := { !st with derived = !st.derived + 1 };
-                    let cover = Resub.derive care in
-                    let expr = Resub.expr_of_cover cover in
-                    let gain = savings - Logic.Factor.and2_cost expr in
-                    if gain >= 1 then begin
-                      let pos_sigs = Array.map (fun d -> sigs.(d)) set in
-                      let new_sig = Logic.Cover.eval_sigs cover ~pos_sigs in
+            let divs = Divisor.collect g ~sigs ~tfo ~max:max_divisors v in
+            let blocks =
+              Divisor.resub_blocks g ~mffc ~pairs:pair_divisors ~triples:triple_divisors
+                divs
+            in
+            let best = ref None and derived = ref 0 in
+            (* The walk's key is the savings less the k - 1 ANDs that k
+               divisors need at least: the best gain the set can deliver. *)
+            Divisor.iter_ranked blocks (fun ~key set ->
+                if key < 1 then `Stop
+                else begin
+                  let savings = key + Array.length set - 1 in
+                  (match Resub.attempt ~sigs ~rounds ~node:v ~savings set with
+                  | Some (cover, expr, gain) ->
+                      incr derived;
                       let better =
-                        match !best with
-                        | None -> true
-                        | Some c -> gain > c.gain
+                        match !best with None -> true | Some c -> gain > c.gain
                       in
-                      if better then
+                      if gain >= 1 && better then begin
+                        let pos_sigs = Array.map (fun d -> sigs.(d)) set in
+                        let new_sig = Logic.Cover.eval_sigs cover ~pos_sigs in
                         best := Some { divisors = set; expr; new_sig; gain }
-                    end
-                  end)
-                ranked;
-              !best
-            end
+                      end
+                  | None -> ());
+                  if !derived >= derivations_per_target then `Stop else `Continue
+                end);
+            st := { !st with derived = !st.derived + !derived };
+            !best
           end
         in
         match (const_cand, derived_cand) with
@@ -355,7 +276,7 @@ let sweep ?pool (cfg : config) ~rng g =
             let err =
               Errest.Batch.candidate_error batch ~node:v ~new_sig:c.new_sig
             in
-            if Float.equal err 0.0 then try_commit v c ~in_mffc
+            if Float.equal err 0.0 then try_commit v c ~mffc
       end);
   st := { !st with batch = Errest.Batch.stats batch };
   (!cur, !st)

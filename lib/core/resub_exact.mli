@@ -3,11 +3,12 @@
     arXiv 2007.02579), validated by the CEC portfolio instead of SAT.
 
     The engine shares ALSRAC's whole substrate: divisor candidates come from
-    the nearest-first, signature-filtered {!Divisor.collect}; don't-cares
-    from the {!Care} tuple tables (an unseen divisor tuple is a free choice
-    for the resubstitution function); the function itself from the same
-    Espresso-ISOP + factoring pipeline as approximate LACs ({!Resub});
-    candidate scoring runs through the event-driven {!Errest.Batch} kernel.
+    the nearest-first, signature-filtered {!Divisor.collect}; divisor sets
+    are visited by the same ranked lazy walk as approximate LACs
+    ({!Divisor.iter_ranked}) and each is tried by the same step
+    ({!Resub.attempt}: care scan, where an unseen divisor tuple is a free
+    choice, then Espresso-ISOP + factoring); candidate scoring runs through
+    the event-driven {!Errest.Batch} kernel.
     What makes it EXACT is the commit protocol: a candidate is only applied
     if {!Verify.Cec} proves the rebuilt graph equivalent to the pre-sweep
     graph — [Undecided] is a rollback, never an accept — so don't-cares can
@@ -15,9 +16,15 @@
 
     Each pass sweeps the AND nodes in topological order.  Per target:
     0-resub (constant on every pattern), then k-resub for k ≤ 3 over the
-    nearest divisors, choosing the candidate with the best net AND saving
-    (MFFC nodes freed minus {!Logic.Factor.and2_cost}).  Passes repeat
-    until a sweep accepts nothing (bounded by [max_passes]).
+    nearest divisors ({!Divisor.resub_blocks}: at most 48 collected, triples
+    of the nearest 10, pairs of the nearest 20, every divisor alone).  Sets
+    are visited by their savings bound, savings − (k − 1), best first; at
+    equal bound triples come before pairs and pairs before singletons, each
+    in nearest-first order.  The walk stops when the bound falls below one
+    AND or after the 4th feasible set, and the target takes the derived
+    candidate with the best net AND saving (MFFC nodes freed minus
+    {!Logic.Factor.and2_cost}).  Passes repeat until a sweep accepts
+    nothing (bounded by [max_passes]).
 
     Deterministic: the sweep is sequential; a pool only accelerates the
     bit-identical simulation and batch-scoring primitives, so results are
@@ -29,10 +36,6 @@ type config = {
       (** independent re-simulation rounds gating each commit before CEC on
           non-exhaustive sweeps; [0] disables the filter *)
   seed : int;  (** fixes the pattern stream and the CEC seed *)
-  max_divisors : int;  (** divisor collection cap per target *)
-  pair_divisors : int;  (** nearest divisors considered for 2-resub *)
-  triple_divisors : int;  (** nearest divisors considered for 3-resub *)
-  derivations_per_target : int;  (** ISOP derivations per target *)
   max_passes : int;  (** sweep cap; passes stop early at a fixpoint *)
   cec_rounds : int;  (** refutation rounds of each certification call *)
   cec_effort : Verify.Cec.effort;
@@ -49,8 +52,7 @@ val default : config
 type stats = {
   passes : int;  (** sweeps run *)
   targets : int;  (** live AND nodes visited *)
-  feasible : int;  (** conflict-free divisor sets found *)
-  derived : int;  (** ISOP derivations performed *)
+  derived : int;  (** conflict-free divisor sets derived (ISOP + factoring) *)
   accepted : int;  (** resubstitutions committed — all CEC-proven *)
   sim_refuted : int;
       (** candidates killed by the independent re-simulation filter — the

@@ -60,6 +60,45 @@ let compare a b =
 
 let hash t = Hashtbl.hash (t.len, t.words)
 
+(* The phase-canonical form is complemented when bit 0 is set.  Both
+   functions work on the raw words and complement virtually; a virtual
+   complement must leave the last word's unused tail bits zero, so that
+   word is reduced to its payload bits. *)
+let tail_mask t =
+  let rem = t.len mod word_bits in
+  if rem = 0 then word_mask else (1 lsl rem) - 1
+
+let phase t = t.len > 0 && t.words.(0) land 1 = 1
+
+let canon_hash t =
+  let nw = Array.length t.words in
+  let inv = if phase t then word_mask else 0 in
+  let tail = tail_mask t in
+  let h = ref 0 in
+  for i = 0 to nw - 1 do
+    let w = t.words.(i) lxor inv in
+    let w = if i = nw - 1 then w land tail else w in
+    h := (!h * 0x9E3779B1) lxor w
+  done;
+  let h = !h lxor (!h lsr 16) in
+  h * 0x85EBCA77 land max_int
+
+let canon_equal a b =
+  a.len = b.len
+  &&
+  if phase a = phase b then a.words = b.words
+  else begin
+    (* Opposite phases: equal canonical forms differ in every payload bit. *)
+    let nw = Array.length a.words and tail = tail_mask a in
+    let eq = ref true and i = ref 0 in
+    while !eq && !i < nw do
+      let m = if !i = nw - 1 then tail else word_mask in
+      if a.words.(!i) lxor b.words.(!i) <> m then eq := false;
+      incr i
+    done;
+    !eq
+  end
+
 let check_lengths a b =
   if a.len <> b.len then invalid_arg "Bitvec: length mismatch"
 

@@ -37,6 +37,21 @@ val compare : t -> t -> int
 
 val hash : t -> int
 
+(** {1 Phase-canonical signatures}
+
+    A signal and its complement are one node up to an inverter.  The
+    phase-canonical form of a vector is the vector itself when bit 0 is
+    clear and its complement otherwise; signature classes (fraig
+    candidates, duplicate divisors) are keyed by it. *)
+
+val canon_hash : t -> int
+(** Hash of the phase-canonical form, computed over the raw words without
+    materializing a complement: [canon_hash v = canon_hash (lognot v)]. *)
+
+val canon_equal : t -> t -> bool
+(** Equal phase-canonical forms: [canon_equal a b] iff [a] equals [b] or
+    its complement. *)
+
 (** {1 Bulk logic}
 
     All binary operations require operands of equal length. *)

@@ -24,68 +24,21 @@ let sweep ?(max_support = 14) ?(rounds = 256) ?(seed = 1) g =
     let pats = Patterns.random rng ~npis ~len:rounds in
     let sigs = Engine.simulate g pats in
     let sup = supports g in
-    (* Candidate classes keyed by the canonical (phase-normalized)
-       signature: a node whose signature starts with 1 is keyed by its
-       complement.  The key is hashed directly over the raw signature words
-       (no per-node string or complement vector is materialized); hash
-       collisions are resolved by exact word comparison against each class
-       representative, so classes are identical to the old string-keyed
-       ones.  When hashing or comparing "as complemented", the last word is
-       reduced to the payload bits: the vector invariant keeps the unused
-       tail bits zero, and a virtual complement must not flip them. *)
-    let tail =
-      let rem = rounds mod Bitvec.word_bits in
-      if rem = 0 then Bitvec.word_mask else (1 lsl rem) - 1
-    in
-    let canon_hash s invert =
-      let words = Bitvec.unsafe_words s in
-      let nw = Array.length words in
-      let inv = if invert then Bitvec.word_mask else 0 in
-      let h = ref 0 in
-      for i = 0 to nw - 1 do
-        let w = words.(i) lxor inv in
-        let w = if i = nw - 1 then w land tail else w in
-        h := (!h * 0x9E3779B1) lxor w
-      done;
-      let h = !h lxor (!h lsr 16) in
-      h * 0x85EBCA77 land max_int
-    in
-    let canon_equal a inva b invb =
-      let wa = Bitvec.unsafe_words a and wb = Bitvec.unsafe_words b in
-      let nw = Array.length wa in
-      let eq = ref true in
-      let i = ref 0 in
-      if inva = invb then
-        while !eq && !i < nw do
-          if wa.(!i) <> wb.(!i) then eq := false;
-          incr i
-        done
-      else
-        (* Opposite stored phases: canonical forms agree iff the raw words
-           differ in exactly the payload positions. *)
-        while !eq && !i < nw do
-          let m = if !i = nw - 1 then tail else Bitvec.word_mask in
-          if wa.(!i) lxor wb.(!i) <> m then eq := false;
-          incr i
-        done;
-      !eq
-    in
-    let classes :
-        (int, (Bitvec.t * bool * (int * bool) list ref) list ref) Hashtbl.t =
+    (* Candidate classes keyed by the phase-canonical signature
+       ([Bitvec.canon_hash]), hash collisions resolved by exact comparison
+       against each class representative. *)
+    let classes : (int, (Bitvec.t * int list ref) list ref) Hashtbl.t =
       Hashtbl.create 256
     in
     let classify id =
       let s = sigs.(id) in
-      let phase = rounds > 0 && Bitvec.get s 0 in
-      let h = canon_hash s phase in
+      let h = Bitvec.canon_hash s in
       match Hashtbl.find_opt classes h with
-      | None -> Hashtbl.add classes h (ref [ (s, phase, ref [ (id, phase) ]) ])
+      | None -> Hashtbl.add classes h (ref [ (s, ref [ id ]) ])
       | Some bucket -> (
-          match
-            List.find_opt (fun (rs, rp, _) -> canon_equal s phase rs rp) !bucket
-          with
-          | Some (_, _, members) -> members := (id, phase) :: !members
-          | None -> bucket := (s, phase, ref [ (id, phase) ]) :: !bucket)
+          match List.find_opt (fun (rs, _) -> Bitvec.canon_equal s rs) !bucket with
+          | Some (_, members) -> members := id :: !members
+          | None -> bucket := (s, ref [ id ]) :: !bucket)
     in
     Graph.iter_ands g classify;
     (* Exact check: tabulate both nodes over the union of their supports. *)
@@ -111,22 +64,19 @@ let sweep ?(max_support = 14) ?(rounds = 256) ?(seed = 1) g =
     let process_class members =
       match List.sort compare !members with
       | [] | [ _ ] -> ()
-      | (rep, rep_phase) :: rest ->
+      | rep :: rest ->
           List.iter
-            (fun (id, phase) ->
+            (fun id ->
               if not (Hashtbl.mem replacements id) then
                 match proved_equal rep id with
                 | Some inverted ->
-                    (* Sanity: the simulated phases must agree with the
-                       proof. *)
-                    ignore (rep_phase, phase);
                     Hashtbl.replace replacements id
                       (Graph.Replace_lit (Graph.make_lit rep inverted))
                 | None -> ())
             rest
     in
     Hashtbl.iter
-      (fun _ bucket -> List.iter (fun (_, _, members) -> process_class members) !bucket)
+      (fun _ bucket -> List.iter (fun (_, members) -> process_class members) !bucket)
       classes;
     if Hashtbl.length replacements = 0 then (g, 0)
     else begin

@@ -79,7 +79,8 @@ let test_ranked_walk_oracle () =
           (fun max_tfi ->
             let expected = eager_ranking g ~max_tfi ~mffc v in
             let got = ref [] in
-            Core.Divisor.iter_ranked g ~max_tfi ~mffc v (fun ~savings set ->
+            let blocks = Core.Divisor.lac_blocks g ~max_tfi ~mffc v in
+            Core.Divisor.iter_ranked blocks (fun ~key:savings set ->
                 got := (savings, set) :: !got;
                 `Continue);
             if List.rev !got <> expected then
@@ -88,7 +89,7 @@ let test_ranked_walk_oracle () =
             (* Stopping after [n] sets must hand out exactly the first [n]. *)
             let n = List.length expected / 2 + 1 in
             let prefix = ref [] in
-            Core.Divisor.iter_ranked g ~max_tfi ~mffc v (fun ~savings set ->
+            Core.Divisor.iter_ranked blocks (fun ~key:savings set ->
                 prefix := (savings, set) :: !prefix;
                 if List.length !prefix >= n then `Stop else `Continue);
             if List.rev !prefix <> List.filteri (fun i _ -> i < n) expected then
@@ -112,7 +113,7 @@ let example_sigs () =
 let test_example3_feasibility () =
   let sigs = example_sigs () in
   let care = Core.Care.scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:5 () in
-  check "feasible (Example 3)" true (Core.Feasibility.ok care);
+  check "feasible (Example 3)" true (Core.Care.feasible care);
   check_int "three care tuples (Table II)" 3 care.Core.Care.care_count;
   Alcotest.(check (list int)) "tuples 00,01,10" [ 0; 1; 2 ] (Core.Care.care_tuples care)
 
@@ -137,7 +138,7 @@ let test_example2_infeasibility () =
   let v = Bitvec.of_string "1100000000110000" in
   let sigs = [| Bitvec.create 16; u; z; v |] in
   let care = Core.Care.scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:16 () in
-  check "infeasible (Example 2)" false (Core.Feasibility.ok care)
+  check "infeasible (Example 2)" false (Core.Care.feasible care)
 
 let test_care_unseen_tuples_are_dc () =
   let sigs = example_sigs () in
@@ -256,7 +257,7 @@ let eager_ranked ?obs g ~max_tfi ~sigs ~rounds =
           List.filter_map
             (fun divisors ->
               let care = Core.Care.scan ?mask ~sigs ~node:v ~divisors ~rounds () in
-              if Core.Feasibility.ok care then
+              if Core.Care.feasible care then
                 Some (Core.Divisor.true_savings g ~in_mffc ~mffc_size divisors, divisors, care)
               else None)
             (Core.Divisor.select g ~max_tfi v)
@@ -543,12 +544,12 @@ let test_odc_masked_scan () =
   let v = Bitvec.of_string "1100000000110000" in
   let sigs = [| Bitvec.create 16; u; z; v |] in
   let unmasked = Core.Care.scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:16 () in
-  check "conflict without mask" false (Core.Feasibility.ok unmasked);
+  check "conflict without mask" false (Core.Care.feasible unmasked);
   (* Mask the minority rounds of both conflicting tuples (uz=10 conflicts
      through round 1; uz=11 through rounds 10 and 11). *)
   let mask = Bitvec.init 16 (fun m -> not (m = 1 || m = 10 || m = 11)) in
   let masked = Core.Care.scan ~mask ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:16 () in
-  check "feasible under mask" true (Core.Feasibility.ok masked)
+  check "feasible under mask" true (Core.Care.feasible masked)
 
 let test_flow_with_odc () =
   let g = Circuits.Epfl_control.cavlc () in

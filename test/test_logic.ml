@@ -75,6 +75,75 @@ let test_bitvec_iter_set () =
   Bitvec.iter_set v (fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "set bits in order" [ 1; 3; 9 ] (List.rev !seen)
 
+(* The phase-canonical hash and equality as [Sim.Fraig], [Divisor.collect]
+   and [bench core] each inlined them before [Bitvec.canon_hash] and
+   [Bitvec.canon_equal], over [rounds]-bit signatures with explicit
+   phases. *)
+let inline_canon ~rounds =
+  let tail =
+    let rem = rounds mod Bitvec.word_bits in
+    if rem = 0 then Bitvec.word_mask else (1 lsl rem) - 1
+  in
+  let canon_hash s invert =
+    let words = Bitvec.unsafe_words s in
+    let nw = Array.length words in
+    let inv = if invert then Bitvec.word_mask else 0 in
+    let h = ref 0 in
+    for i = 0 to nw - 1 do
+      let w = words.(i) lxor inv in
+      let w = if i = nw - 1 then w land tail else w in
+      h := (!h * 0x9E3779B1) lxor w
+    done;
+    let h = !h lxor (!h lsr 16) in
+    h * 0x85EBCA77 land max_int
+  in
+  let canon_equal a inva b invb =
+    let wa = Bitvec.unsafe_words a and wb = Bitvec.unsafe_words b in
+    let nw = Array.length wa in
+    let eq = ref true in
+    let i = ref 0 in
+    if inva = invb then
+      while !eq && !i < nw do
+        if wa.(!i) <> wb.(!i) then eq := false;
+        incr i
+      done
+    else
+      while !eq && !i < nw do
+        let m = if !i = nw - 1 then tail else Bitvec.word_mask in
+        if wa.(!i) lxor wb.(!i) <> m then eq := false;
+        incr i
+      done;
+    !eq
+  in
+  (canon_hash, canon_equal)
+
+let test_bitvec_canon_matches_inline () =
+  let rng = Logic.Rng.create 11 in
+  List.iter
+    (fun len ->
+      let old_hash, old_equal = inline_canon ~rounds:len in
+      let phase v = Bitvec.get v 0 in
+      let base =
+        [ Bitvec.create len; Bitvec.init len (fun i -> i = 0);
+          Bitvec.init len (fun i -> i = len - 1) ]
+        @ List.init 6 (fun _ -> Bitvec.random rng len)
+      in
+      let vs = base @ List.map Bitvec.lognot base in
+      List.iter
+        (fun v ->
+          let name what = Printf.sprintf "len %d %s: %s" len (Bitvec.to_string v) what in
+          check_int (name "hash") (old_hash v (phase v)) (Bitvec.canon_hash v);
+          check_int (name "hash of the complement") (Bitvec.canon_hash v)
+            (Bitvec.canon_hash (Bitvec.lognot v));
+          List.iter
+            (fun w ->
+              check (name ("equal to " ^ Bitvec.to_string w))
+                (old_equal v (phase v) w (phase w))
+                (Bitvec.canon_equal v w))
+            vs)
+        vs)
+    [ 1; 61; 62; 63; 124; 130 ]
+
 let bitvec_pair_gen =
   QCheck.Gen.(
     let* len = int_range 1 300 in
@@ -344,6 +413,8 @@ let () =
           Alcotest.test_case "string roundtrip" `Quick test_bitvec_string_roundtrip;
           Alcotest.test_case "fill" `Quick test_bitvec_fill;
           Alcotest.test_case "iter_set" `Quick test_bitvec_iter_set;
+          Alcotest.test_case "canonical hash and equality" `Quick
+            test_bitvec_canon_matches_inline;
         ]
         @ Util.qcheck_cases [ prop_bitvec_ops; prop_bitvec_inplace ] );
       ( "truth",

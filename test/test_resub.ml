@@ -119,6 +119,91 @@ let test_care_scan_rejects_self_divisor () =
     (fun () ->
       ignore (Core.Care.scan ~sigs ~node:target ~divisors:[| target |] ~rounds:64 ()))
 
+(* ---------- The shared ranked walk over exact-resub sets ---------- *)
+
+(* Exact resub's eager enumeration before it moved onto the shared walk:
+   triples of the nearest [triples] divisors, then pairs of the nearest
+   [pairs], then every divisor alone, each group in nearest-first order. *)
+let candidate_sets ~pairs ~triples divs =
+  let n = Array.length divs in
+  let sets = ref [] in
+  for i = n - 1 downto 0 do
+    sets := [| divs.(i) |] :: !sets
+  done;
+  let np = min n pairs in
+  for i = np - 1 downto 0 do
+    for j = np - 1 downto i + 1 do
+      sets := [| divs.(i); divs.(j) |] :: !sets
+    done
+  done;
+  let nt = min n triples in
+  for i = nt - 1 downto 0 do
+    for j = nt - 1 downto i + 1 do
+      for k = nt - 1 downto j + 1 do
+        sets := [| divs.(i); divs.(j); divs.(k) |] :: !sets
+      done
+    done
+  done;
+  !sets
+
+(* The order the walk must reproduce: every set keyed by its savings less
+   k - 1, stable-sorted, best first. *)
+let eager_resub_ranking g ~mffc ~pairs ~triples divs =
+  let in_mffc = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace in_mffc n ()) mffc;
+  let mffc_size = List.length mffc in
+  candidate_sets ~pairs ~triples divs
+  |> List.map (fun set ->
+         ( Core.Divisor.true_savings g ~in_mffc ~mffc_size set - (Array.length set - 1),
+           set ))
+  |> List.stable_sort (fun (k1, _) (k2, _) -> compare k2 k1)
+
+let test_candidate_sets_order () =
+  Alcotest.(check (list (array int)))
+    "triples, then pairs, then singletons"
+    [ [| 10; 20; 30 |]; [| 10; 20 |]; [| 10; 30 |]; [| 20; 30 |]; [| 10 |]; [| 20 |];
+      [| 30 |]; [| 40 |] ]
+    (candidate_sets ~pairs:3 ~triples:3 [| 10; 20; 30; 40 |])
+
+let test_resub_walk_oracle () =
+  let targets = ref 0 and in_mffc_triples = ref 0 in
+  for seed = 0 to 199 do
+    let g = Verify.Gen.random seed in
+    let fanouts = Aig.Topo.fanout_counts g in
+    Graph.iter_ands g (fun v ->
+        incr targets;
+        let mffc = Aig.Cone.mffc g ~fanouts v in
+        let divs = Core.Divisor.collect g ~tfo:(Aig.Cone.tfo_mask g v) ~max:48 v in
+        List.iter
+          (fun (pairs, triples) ->
+            let expected = eager_resub_ranking g ~mffc ~pairs ~triples divs in
+            List.iter
+              (fun (_, set) ->
+                if Array.length set = 3 && Array.for_all (fun d -> List.mem d mffc) set then
+                  incr in_mffc_triples)
+              expected;
+            let blocks = Core.Divisor.resub_blocks g ~mffc ~pairs ~triples divs in
+            let got = ref [] in
+            Core.Divisor.iter_ranked blocks (fun ~key set ->
+                got := (key, set) :: !got;
+                `Continue);
+            if List.rev !got <> expected then
+              Alcotest.failf "seed %d node %d caps %d/%d: ranked walk differs" seed v pairs
+                triples;
+            (* Stopping after [n] sets must hand out exactly the first [n]. *)
+            let n = (List.length expected / 2) + 1 in
+            let prefix = ref [] in
+            Core.Divisor.iter_ranked blocks (fun ~key set ->
+                prefix := (key, set) :: !prefix;
+                if List.length !prefix >= n then `Stop else `Continue);
+            if List.rev !prefix <> List.filteri (fun i _ -> i < n) expected then
+              Alcotest.failf "seed %d node %d caps %d/%d: stopped walk is not a prefix" seed
+                v pairs triples)
+          [ (1, 1); (3, 3); (20, 10) ])
+  done;
+  check "enough targets" true (!targets > 5000);
+  check "triples inside the MFFC exercised" true (!in_mffc_triples > 100)
+
 (* ---------- Exact-resub oracle suite (satellite 4) ---------- *)
 
 let fast_config =
@@ -192,6 +277,121 @@ let test_monotone_and_stats () =
   check "accepted candidates were scored through the batch kernel" true
     (st.Core.Resub_exact.accepted = 0
     || st.Core.Resub_exact.batch.Errest.Batch.scored > 0)
+
+(* Output MD5 and counters of [Resub_exact.run] at its defaults, recorded
+   before the engine moved onto the shared ranked walk (DESIGN.md §15): the
+   walk must derive the same first four feasible sets per target, in the
+   same order, as the eager scan-all / stable-sort it replaced. *)
+type pin = {
+  targets : int;
+  derived : int;
+  accepted : int;
+  sim_refuted : int;
+  cec_refuted : int;
+  cec_undecided : int;
+  passes : int;
+  scored : int;
+}
+
+let pinned =
+  [
+    ("cavlc", "7cc364a32ff327b372a704fdc3feda3a",
+     { targets = 616; derived = 6; accepted = 2; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 2; scored = 3 });
+    ("int2float", "d2f2092d147ccc3a8a5e05c6f8d370cf",
+     { targets = 240; derived = 17; accepted = 2; sim_refuted = 7; cec_refuted = 0;
+       cec_undecided = 0; passes = 2; scored = 9 });
+    ("c880", "4df9a292150f4a095e1ba1863fa6438f",
+     { targets = 704; derived = 40; accepted = 8; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 2; scored = 16 });
+    ("gen 0", "d0d3cd114fe351f57167bce6a33768e2",
+     { targets = 48; derived = 40; accepted = 12; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 3; scored = 23 });
+    ("gen 1", "abbb48d4f872111541e4904d851383a4",
+     { targets = 52; derived = 48; accepted = 16; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 3; scored = 30 });
+    ("gen 2", "927dddfa160e388ed1d59dd0bfe3435a",
+     { targets = 62; derived = 34; accepted = 10; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 3; scored = 20 });
+    ("gen 3", "1e189eb4dc93f629cdc01fc4dfae9d9b",
+     { targets = 89; derived = 32; accepted = 13; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 3; scored = 25 });
+    ("gen 4", "794a31ecc693a1321aedf5914f218d74",
+     { targets = 99; derived = 31; accepted = 15; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 4; scored = 17 });
+    ("gen 5", "b80d57167640a4be76dbe49f359d33fe",
+     { targets = 36; derived = 26; accepted = 9; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 2; scored = 22 });
+    ("gen 6", "1a04fee8d0aaddca4fb4864edd2b2c47",
+     { targets = 41; derived = 34; accepted = 11; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 3; scored = 23 });
+    ("gen 7", "4817fc06a7483fd7d0609ea76dc32ce4",
+     { targets = 97; derived = 17; accepted = 11; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 4; scored = 15 });
+    ("gen 8", "19ff6bad5b9d6e5779f6f563a99b37ae",
+     { targets = 53; derived = 33; accepted = 12; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 3; scored = 25 });
+    ("gen 9", "33de874c902789851d2ee9cb808b28c0",
+     { targets = 37; derived = 17; accepted = 11; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 2; scored = 24 });
+    ("gen 10", "e76a5c8627547498f991de4229dbfe96",
+     { targets = 44; derived = 24; accepted = 6; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 2; scored = 13 });
+    ("gen 11", "92d41ed46478698e495e9d314da06a5e",
+     { targets = 35; derived = 26; accepted = 10; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 2; scored = 14 });
+    ("gen 12", "fac0a6c1e6004538a5c0e3d5a4e2a446",
+     { targets = 50; derived = 31; accepted = 9; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 3; scored = 25 });
+    ("gen 13", "ab9bad30746384c320f8840c330086de",
+     { targets = 33; derived = 10; accepted = 8; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 1; scored = 23 });
+    ("gen 14", "70e2d98c3ed4a3f831de510fdb55be54",
+     { targets = 71; derived = 31; accepted = 10; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 2; scored = 17 });
+    ("gen 15", "78e3942821617070435b27968cf8cd2a",
+     { targets = 78; derived = 32; accepted = 10; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 3; scored = 20 });
+    ("gen 16", "108fd0324e3daccac4ba976ec4a84910",
+     { targets = 49; derived = 32; accepted = 11; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 2; scored = 36 });
+    ("gen 17", "4f1699815f5529be0e606ef76e870905",
+     { targets = 68; derived = 41; accepted = 13; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 3; scored = 22 });
+    ("gen 18", "fe8239bac38e327be3e0b84e83878ceb",
+     { targets = 44; derived = 21; accepted = 9; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 2; scored = 22 });
+    ("gen 19", "4018d5186daec5af7445e5a10f38ed47",
+     { targets = 51; derived = 26; accepted = 8; sim_refuted = 0; cec_refuted = 0;
+       cec_undecided = 0; passes = 4; scored = 22 });
+  ]
+
+let pinned_graph name =
+  match String.split_on_char ' ' name with
+  | [ "gen"; seed ] -> Verify.Gen.random (int_of_string seed)
+  | _ -> (Option.get (Circuits.Suite.find name)).Circuits.Suite.build ()
+
+let test_pinned_outputs () =
+  List.iter
+    (fun (name, md5, pin) ->
+      let g', (st : Core.Resub_exact.stats) = Core.Resub_exact.run (pinned_graph name) in
+      Alcotest.(check string)
+        (name ^ ": output MD5") md5
+        (Digest.to_hex (Digest.string (Circuit_io.Aiger.graph_to_string g')));
+      let got =
+        {
+          targets = st.targets;
+          derived = st.derived;
+          accepted = st.accepted;
+          sim_refuted = st.sim_refuted;
+          cec_refuted = st.cec_refuted;
+          cec_undecided = st.cec_undecided;
+          passes = st.passes;
+          scored = st.batch.Errest.Batch.scored;
+        }
+      in
+      if got <> pin then Alcotest.failf "%s: exact-resub counters changed" name)
+    pinned
 
 (* ---------- Flow integration: determinism across jobs and kill/resume ---------- *)
 
@@ -325,6 +525,9 @@ let () =
             test_collect_signature_filter;
           Alcotest.test_case "care scan rejects self-divisor" `Quick
             test_care_scan_rejects_self_divisor;
+          Alcotest.test_case "exact-resub set order" `Quick test_candidate_sets_order;
+          Alcotest.test_case "exact-resub walk = eager ranking" `Quick
+            test_resub_walk_oracle;
         ] );
       ( "oracle",
         [
@@ -336,6 +539,7 @@ let () =
             test_acyclicity_property;
           Alcotest.test_case "jobs 1 vs 4 bit-identity" `Quick test_jobs_invariance;
           Alcotest.test_case "monotone + stats" `Quick test_monotone_and_stats;
+          Alcotest.test_case "pinned outputs" `Quick test_pinned_outputs;
         ] );
       ( "flow",
         [

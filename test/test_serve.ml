@@ -612,10 +612,16 @@ let test_daemon_malformed_fuzz () =
      | exception (Serve.Transport.Closed | Serve.Transport.Malformed _) -> ()
    with Unix.Unix_error _ -> ());
   (try Unix.close fd with _ -> ());
-  (* The daemon survived it all and counted the damage. *)
+  (* The daemon survived it all and counted the damage.  Each garbage
+     connection is handled on its own thread, so the count may lag the
+     writes: poll for up to 5 s. *)
   check "daemon alive after fuzz" true (Serve.Client.ping conn);
-  check "malformed frames were counted" true
-    (int_of_string (status_field conn "malformed") >= 12)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec counted () =
+    int_of_string (status_field conn "malformed") >= 12
+    || (Unix.gettimeofday () < deadline && (Thread.delay 0.01; counted ()))
+  in
+  check "malformed frames were counted" true (counted ())
 
 let test_daemon_dispatch_fault () =
   let cfg =
