@@ -1,14 +1,17 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
-   section (Tables III-VII) on the reconstructed benchmark suite, plus
-   bechamel microbenchmarks of the engine kernels and the ablations called
-   out in DESIGN.md.
+   section (Tables III-VII) on the reconstructed benchmark suite, the
+   ablations called out in DESIGN.md, and layer benches of the live code
+   that write absolute numbers to the tracked BENCH_*.json files.
 
-     dune exec bench/main.exe -- [table3|table4|table5|table6|table7|micro|all]
+     dune exec bench/main.exe -- [MODE|all]
 
-   Default parameters are scaled for a laptop run: a subset of each
-   threshold sweep and one seed per configuration.  Set ALSRAC_BENCH_FULL=1
-   for the paper's full sweeps averaged over three seeds.  Every run is
-   deterministic given the seed set. *)
+   [modes] at the end of this file lists every mode.  Default parameters
+   are scaled for a laptop run: a subset of each threshold sweep and one
+   seed per configuration.  Set ALSRAC_BENCH_FULL=1 for the paper's full
+   sweeps averaged over three seeds, and ALSRAC_BENCH_SMOKE=1 for the
+   reduced layer-bench fixtures CI runs.  Every run is deterministic given
+   the seed set; a layer bench exits non-zero when one of its checks
+   fails. *)
 
 module Graph = Aig.Graph
 module Metrics = Errest.Metrics
@@ -288,8 +291,20 @@ let table7 () =
 
 (* ---------- Bechamel microbenchmarks ---------- *)
 
-let micro () =
+(* Bechamel's estimate of one call of [f] in ns, by OLS over the monotonic
+   clock's samples. *)
+let ns_per_run f =
   let open Bechamel in
+  let test = Test.make ~name:"run" (Staged.stage f) in
+  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
+  let clock = Toolkit.Instance.monotonic_clock in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  let analysis = Analyze.all ols clock (Benchmark.all cfg [ clock ] test) in
+  match Hashtbl.fold (fun _ r acc -> Analyze.OLS.estimates r :: acc) analysis [] with
+  | [ Some [ est ] ] -> Some est
+  | _ -> None
+
+let micro () =
   Printf.printf "\n== Microbenchmarks (bechamel, monotonic clock) ==\n%!";
   (* Shared fixtures, built once. *)
   let mtp8 = Circuits.Multipliers.array_mult ~width:8 in
@@ -306,62 +321,43 @@ let micro () =
     Array.of_list !acc
   in
   let mid_node = and_nodes.(Array.length and_nodes / 2) in
-  let tfo = Aig.Cone.tfo_mask mtp8 mid_node in
-  let flipped = Logic.Bitvec.lognot sigs.(mid_node) in
+  let flip = [| (mid_node, Logic.Bitvec.lognot sigs.(mid_node)) |] in
+  let batch = Errest.Batch.create mtp8 ~metric:Metrics.Nmed ~golden ~base:sigs in
   let care_cfg = Core.Config.default ~metric:Metrics.Er ~threshold:0.01 in
   let tests =
     [
       (* One kernel per table: the dominant inner operation each table's
          regeneration spends its time in. *)
-      Test.make ~name:"t3-kernel: cellmap mtp8"
-        (Staged.stage (fun () -> ignore (Techmap.Cellmap.run mtp8)));
-      Test.make ~name:"t4-kernel: LAC generation (N=32, mtp8)"
-        (Staged.stage (fun () ->
-             let pats = Sim.Patterns.random (Logic.Rng.create 7) ~npis:16 ~len:32 in
-             let s = Sim.Engine.simulate mtp8 pats in
-             ignore (Core.Lac.generate mtp8 ~config:care_cfg ~sigs:s ~rounds:32)));
-      Test.make ~name:"t5-kernel: batch error estimation (TFO resim, 2048 rounds)"
-        (Staged.stage (fun () ->
-             ignore
-               (Sim.Engine.resimulate_tfo mtp8 ~base:sigs ~tfo ~node:mid_node
-                  ~value:flipped)));
-      Test.make ~name:"t6-kernel: lutmap cavlc"
-        (Staged.stage (fun () -> ignore (Techmap.Lutmap.run cavlc)));
-      Test.make ~name:"t7-kernel: NMED measurement (2048 rounds)"
-        (Staged.stage (fun () -> ignore (Metrics.nmed ~golden ~approx:golden)));
+      ("t3-kernel: cellmap mtp8", fun () -> ignore (Techmap.Cellmap.run mtp8));
+      ( "t4-kernel: LAC generation (N=32, mtp8)",
+        fun () ->
+          let pats = Sim.Patterns.random (Logic.Rng.create 7) ~npis:16 ~len:32 in
+          let s = Sim.Engine.simulate mtp8 pats in
+          ignore (Core.Lac.generate mtp8 ~config:care_cfg ~sigs:s ~rounds:32) );
+      ( "t5-kernel: batch error estimation (full flip, 2048 rounds)",
+        fun () -> ignore (Errest.Batch.candidate_errors batch flip) );
+      ("t6-kernel: lutmap cavlc", fun () -> ignore (Techmap.Lutmap.run cavlc));
+      ( "t7-kernel: NMED measurement (2048 rounds)",
+        fun () -> ignore (Metrics.nmed ~golden ~approx:golden) );
       (* Engine kernels. *)
-      Test.make ~name:"simulate mtp8 x2048 rounds"
-        (Staged.stage (fun () -> ignore (Sim.Engine.simulate mtp8 pats2048)));
-      Test.make ~name:"compress2 adder16"
-        (Staged.stage (fun () -> ignore (Aig.Resyn.compress2 adder16)));
-      Test.make ~name:"cut enumeration k=6 mtp8"
-        (Staged.stage (fun () -> ignore (Aig.Cut.enumerate mtp8 ~k:6 ())));
-      Test.make ~name:"isop 10-var table"
-        (Staged.stage (fun () ->
-             ignore (Logic.Isop.compute ~on:tt10 ~dc:(Logic.Truth.const0 10))));
-      Test.make ~name:"espresso 10-var table"
-        (Staged.stage (fun () ->
-             ignore (Logic.Espresso.minimize ~on:tt10 ~dc:(Logic.Truth.const0 10))));
-      (* Ablation: exact TFO re-simulation vs backward observability masks. *)
-      Test.make ~name:"ablation: observability masks (backward pass)"
-        (Staged.stage (fun () -> ignore (Errest.Observability.masks mtp8 ~sigs)));
-      Test.make ~name:"fraig-lite mtp8"
-        (Staged.stage (fun () -> ignore (Sim.Fraig.run mtp8)));
+      ("simulate mtp8 x2048 rounds", fun () -> ignore (Sim.Engine.simulate mtp8 pats2048));
+      ("compress2 adder16", fun () -> ignore (Aig.Resyn.compress2 adder16));
+      ("cut enumeration k=6 mtp8", fun () -> ignore (Aig.Cut.enumerate mtp8 ~k:6 ()));
+      ( "isop 10-var table",
+        fun () -> ignore (Logic.Isop.compute ~on:tt10 ~dc:(Logic.Truth.const0 10)) );
+      ( "espresso 10-var table",
+        fun () -> ignore (Logic.Espresso.minimize ~on:tt10 ~dc:(Logic.Truth.const0 10)) );
+      (* Ablation: the ODC-aware care sets' backward pass. *)
+      ( "ablation: observability masks (backward pass)",
+        fun () -> ignore (Errest.Observability.masks mtp8 ~sigs) );
+      ("fraig-lite mtp8", fun () -> ignore (Sim.Fraig.run mtp8));
     ]
   in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
   List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analysis = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-58s %14.1f ns/run\n%!" name est
-          | _ -> Printf.printf "%-58s (no estimate)\n%!" name)
-        analysis)
+    (fun (name, f) ->
+      match ns_per_run f with
+      | Some est -> Printf.printf "%-58s %14.1f ns/run\n%!" name est
+      | None -> Printf.printf "%-58s (no estimate)\n%!" name)
     tests
 
 (* ---------- Pool microbenchmark (DESIGN.md section 8) ----------
@@ -451,18 +447,15 @@ let pool_bench () =
 
 (* ---------- Scoring-kernel microbenchmark (DESIGN.md section 10) ----------
 
-   Old vs new candidate scoring on a realistic candidate mix.  The "old"
-   kernel replicates the pre-CSR strategy faithfully: a dense TFO mask per
-   target (cached, as the old estimator cached it), a full re-simulation of
-   the masked cone via [Sim.Engine.resimulate_tfo], and a full
-   [Metrics.measure_prepared] over all POs and words.  The "new" kernel is
-   [Errest.Batch] — sparse frontier, difference-mask early exit,
-   incremental metric deltas.  Both must return bit-identical errors
-   ([Float.equal]); any mismatch fails the bench.
+   Candidates per second through [Errest.Batch] — sparse frontier,
+   difference-mask early exit, incremental metric deltas — timed through
+   [ns_per_run] on two candidate mixes: the LAC generator's own candidates
+   and a synthetic stress mix.  test_errest ("differential") holds the
+   kernel's errors on both kinds of candidate [Float.equal] to a full
+   re-simulation.
 
-   Writes BENCH_scoring.json next to the working directory.  Smoke mode
-   (ALSRAC_BENCH_SMOKE=1, used by CI) shrinks the fixture and exits
-   non-zero on a mismatch or a pathological (< 0.2x) slowdown. *)
+   Writes BENCH_scoring.json.  Smoke mode (ALSRAC_BENCH_SMOKE=1) shrinks
+   the fixture.  Exits non-zero if a row has no positive estimate. *)
 
 let smoke_mode =
   match Sys.getenv_opt "ALSRAC_BENCH_SMOKE" with
@@ -475,28 +468,10 @@ type scoring_row = {
   r_workload : string;
   r_rounds : int;
   r_nspecs : int;
-  r_old_cps : float;  (** candidates/second, old kernel *)
-  r_new_cps : float;
-  r_speedup : float;
+  r_cps : float;  (** candidates/second *)
   r_mean_frontier : float;  (** frontier nodes recomputed per candidate *)
   r_early_exit_rate : float;
-  r_identical : bool;  (** every error Float.equal between kernels *)
 }
-
-let old_kernel g ~metric ~golden ~base =
-  let prep = Metrics.prepare metric ~golden in
-  let tfo_cache : (int, bool array) Hashtbl.t = Hashtbl.create 64 in
-  fun (node, new_sig) ->
-    let tfo =
-      match Hashtbl.find_opt tfo_cache node with
-      | Some m -> m
-      | None ->
-          let m = Aig.Cone.tfo_mask g node in
-          Hashtbl.add tfo_cache node m;
-          m
-    in
-    let pos = Sim.Engine.resimulate_tfo g ~base ~tfo ~node ~value:new_sig in
-    Metrics.measure_prepared prep ~approx:pos
 
 (* The synthetic stress mix, four candidate classes per target in rotation:
    divisor copy, divisor complement, sparse diff (the target's signature
@@ -545,15 +520,6 @@ let lac_specs rng g ~metric ~base ~nspecs =
   in
   Array.of_list (List.filteri (fun i _ -> i < nspecs) specs)
 
-let time_scoring ~repeats f =
-  let best = ref infinity in
-  for _ = 1 to repeats do
-    let t0 = wall () in
-    f ();
-    best := Float.min !best (wall () -. t0)
-  done;
-  !best
-
 let scoring_row (e : Circuits.Suite.entry) ~metric ~workload ~rounds ~nspecs =
   let g = e.Circuits.Suite.build () in
   let rng = Logic.Rng.create 42 in
@@ -567,17 +533,8 @@ let scoring_row (e : Circuits.Suite.entry) ~metric ~workload ~rounds ~nspecs =
   in
   let n = Array.length specs in
   if n = 0 then failwith ("scoring bench: no candidates for " ^ e.Circuits.Suite.name);
-  let old_score = old_kernel g ~metric ~golden ~base in
-  let old_errs = Array.map old_score specs in
   let batch = Errest.Batch.create g ~metric ~golden ~base in
-  let new_errs = Errest.Batch.candidate_errors batch specs in
-  let identical = Array.for_all2 Float.equal old_errs new_errs in
-  let repeats = if smoke_mode then 2 else 3 in
-  let t_old = time_scoring ~repeats (fun () -> Array.iter (fun s -> ignore (old_score s)) specs) in
-  let t_new =
-    time_scoring ~repeats (fun () ->
-        ignore (Errest.Batch.candidate_errors batch specs))
-  in
+  let ns = ns_per_run (fun () -> ignore (Errest.Batch.candidate_errors batch specs)) in
   let s = Errest.Batch.stats batch in
   let scored = float_of_int (max 1 s.Errest.Batch.scored) in
   {
@@ -586,34 +543,28 @@ let scoring_row (e : Circuits.Suite.entry) ~metric ~workload ~rounds ~nspecs =
     r_workload = (match workload with `Lac -> "lac" | `Stress -> "stress");
     r_rounds = rounds;
     r_nspecs = n;
-    r_old_cps = float_of_int n /. Float.max 1e-9 t_old;
-    r_new_cps = float_of_int n /. Float.max 1e-9 t_new;
-    r_speedup = t_old /. Float.max 1e-9 t_new;
+    r_cps = (match ns with Some ns -> 1e9 *. float_of_int n /. ns | None -> Float.nan);
     r_mean_frontier = float_of_int s.Errest.Batch.frontier_nodes /. scored;
     r_early_exit_rate = float_of_int s.Errest.Batch.early_exits /. scored;
-    r_identical = identical;
   }
 
 let scoring_json rows =
   let row r =
     Printf.sprintf
       "  {\"circuit\": \"%s\", \"metric\": \"%s\", \"workload\": \"%s\", \
-       \"rounds\": %d, \"nspecs\": %d, \"old_candidates_per_s\": %.1f, \
-       \"new_candidates_per_s\": %.1f, \"speedup\": %.2f, \"mean_frontier\": \
-       %.1f, \"early_exit_rate\": %.4f, \"identical\": %b}"
-      r.r_circuit r.r_metric r.r_workload r.r_rounds r.r_nspecs r.r_old_cps
-      r.r_new_cps r.r_speedup r.r_mean_frontier r.r_early_exit_rate r.r_identical
+       \"rounds\": %d, \"nspecs\": %d, \"candidates_per_s\": %.1f, \
+       \"mean_frontier\": %.1f, \"early_exit_rate\": %.4f}"
+      r.r_circuit r.r_metric r.r_workload r.r_rounds r.r_nspecs r.r_cps
+      r.r_mean_frontier r.r_early_exit_rate
   in
   Printf.sprintf "{\"mode\": \"%s\", \"rows\": [\n%s\n]}\n"
     (if smoke_mode then "smoke" else "full")
     (String.concat ",\n" (List.map row rows))
 
 let scoring () =
-  Printf.printf "\n== Scoring-kernel microbenchmark: old (dense TFO resim) vs new (event-driven) ==\n%!";
+  Printf.printf "\n== Scoring-kernel microbenchmark: Errest.Batch candidates/s ==\n%!";
   let fixtures =
     if smoke_mode then
-      (* ER plus two value metrics, so the identity gate covers both the
-         word-parallel ER path and the decoded-value path. *)
       [
         ("c880", Metrics.Er, `Lac, 512, 64);
         ("c880", Metrics.Er, `Stress, 512, 64);
@@ -640,13 +591,11 @@ let scoring () =
         | Some e ->
             let r = scoring_row e ~metric ~workload ~rounds ~nspecs in
             Printf.printf
-              "%-8s %-5s %-7s %5d rounds %4d cands | old %8.0f/s  new %8.0f/s  \
-               (%5.1fx) | frontier %7.1f  early-exit %5.1f%%%s\n\
+              "%-8s %-5s %-7s %5d rounds %4d cands | %9.0f cands/s | frontier %7.1f  \
+               early-exit %5.1f%%\n\
                %!"
-              r.r_circuit r.r_metric r.r_workload r.r_rounds r.r_nspecs r.r_old_cps
-              r.r_new_cps r.r_speedup r.r_mean_frontier
-              (100.0 *. r.r_early_exit_rate)
-              (if r.r_identical then "" else "  ERROR MISMATCH");
+              r.r_circuit r.r_metric r.r_workload r.r_rounds r.r_nspecs r.r_cps
+              r.r_mean_frontier (100.0 *. r.r_early_exit_rate);
             r)
       fixtures
   in
@@ -654,13 +603,8 @@ let scoring () =
   output_string out (scoring_json rows);
   close_out out;
   Printf.printf "wrote BENCH_scoring.json\n%!";
-  let bad_identity = List.exists (fun r -> not r.r_identical) rows in
-  if bad_identity then begin
-    Printf.eprintf "scoring bench: kernels disagree — new kernel is WRONG\n";
-    exit 1
-  end;
-  if smoke_mode && List.exists (fun r -> r.r_speedup < 0.2) rows then begin
-    Printf.eprintf "scoring bench: new kernel is >5x slower than the old one\n";
+  if List.exists (fun r -> not (r.r_cps > 0.0)) rows then begin
+    Printf.eprintf "scoring bench: a row has no positive estimate\n";
     exit 1
   end
 
@@ -1051,32 +995,20 @@ let maxerr_bench () =
 
 (* ---------- Core benchmark (DESIGN.md section 14) ----------
 
-   The struct-of-arrays AIG core against the code it replaced, measured on
-   identical operation streams.  [Legacy_core] replicates the pre-refactor
-   hot paths verbatim (tuple-keyed strash Hashtbl, per-array growth,
-   allocating rebuild, per-call CSR/levels, string-keyed fraig classes); the
-   new side is the live [Aig.Graph].  Every workload cross-checks the two
-   cores' results before timing anything, so a speedup can never hide a
-   behavior change.
+   The struct-of-arrays AIG core's hot paths on each circuit's recorded
+   operation stream, timed through [ns_per_run]: construction (the whole
+   PI/AND/PO stream into a fresh graph, strash misses throughout), strash
+   hits (every AND re-issued), an arena rebuild + recycle, cold views
+   (forced stale by a same-literal PO rewire) and warm views, and clone.
+   test_aig ("graph", "soa-core") pins what these paths return and what
+   they allocate.
 
-   Writes BENCH_core.json.  Smoke mode (ALSRAC_BENCH_SMOKE=1, used by CI)
-   shrinks repeat counts and only sanity-checks the speedups; full mode
-   enforces the headline targets (>= 2x construction and rebuild, >= 1.5x
-   clone). *)
+   Writes BENCH_core.json: ns per operation.  Smoke mode
+   (ALSRAC_BENCH_SMOKE=1) times c880 only.  Exits non-zero if a row has no
+   positive estimate. *)
 
-type core_row = {
-  k_circuit : string;
-  k_workload : string;
-  k_old_s : float;  (** best-of wall seconds, legacy core *)
-  k_new_s : float;
-  k_speedup : float;
-  k_checked : bool;  (** both cores produced identical results *)
-}
-
-(* A graph as a replayable operation stream.  Node ids ascend in creation
-   order in both cores and the stream is already strashed/normalized, so
-   replaying it assigns every node the same id in either core and literal
-   operands can be reused verbatim. *)
+(* A graph as a replayable operation stream.  The stream is already
+   strashed and normalized, so a replay assigns every node its id again. *)
 type trace_op = T_pi | T_and of int * int | T_po of int
 
 let trace_of g =
@@ -1088,17 +1020,7 @@ let trace_of g =
   Graph.iter_pos g (fun _ l -> ops := T_po l :: !ops);
   Array.of_list (List.rev !ops)
 
-let replay_legacy ops =
-  let g = Legacy_core.create () in
-  Array.iter
-    (function
-      | T_pi -> ignore (Legacy_core.add_pi g)
-      | T_and (a, b) -> ignore (Legacy_core.and_ g a b)
-      | T_po l -> ignore (Legacy_core.add_po g l))
-    ops;
-  g
-
-let replay_new ops =
+let replay ops =
   let g = Graph.create () in
   Array.iter
     (function
@@ -1108,197 +1030,26 @@ let replay_new ops =
     ops;
   g
 
-let same_structure lg ng =
-  Legacy_core.num_nodes lg = Graph.num_nodes ng
-  && Legacy_core.num_ands lg = Graph.num_ands ng
-  && begin
-       let ok = ref true in
-       for id = 1 to Graph.num_nodes ng - 1 do
-         if Graph.is_and ng id then begin
-           if
-             (not (Legacy_core.is_and lg id))
-             || Legacy_core.(lg.fanin0.(id)) <> Graph.fanin0 ng id
-             || Legacy_core.(lg.fanin1.(id)) <> Graph.fanin1 ng id
-           then ok := false
-         end
-         else if Legacy_core.is_and lg id then ok := false
-       done;
-       !ok
-     end
-
-(* The int-keyed fraig classification of [Sim.Fraig]: the phase-canonical
-   signature hashed word-wise ([Bitvec.canon_hash]), collisions resolved by
-   exact comparison.  Returns the same count as
-   [Legacy_core.classify_string]. *)
-let classify_int ~(sigs : Logic.Bitvec.t array) ~(ids : int array) =
-  let module Bitvec = Logic.Bitvec in
-  let classes : (int, (Bitvec.t * int list ref) list ref) Hashtbl.t = Hashtbl.create 256 in
-  Array.iter
-    (fun id ->
-      let s = sigs.(id) in
-      let h = Bitvec.canon_hash s in
-      match Hashtbl.find_opt classes h with
-      | None -> Hashtbl.add classes h (ref [ (s, ref [ id ]) ])
-      | Some bucket -> (
-          match List.find_opt (fun (rs, _) -> Bitvec.canon_equal s rs) !bucket with
-          | Some (_, members) -> members := id :: !members
-          | None -> bucket := (s, ref [ id ]) :: !bucket))
-    ids;
-  Hashtbl.fold
-    (fun _ bucket acc ->
-      List.fold_left
-        (fun acc (_, members) -> if List.length !members >= 2 then acc + 1 else acc)
-        acc !bucket)
-    classes 0
-
-let core_rows (e : Circuits.Suite.entry) =
-  let src = Graph.compact (e.Circuits.Suite.build ()) in
-  let name = e.Circuits.Suite.name in
+let core_workloads src =
   let ops = trace_of src in
-  let repeats = if smoke_mode then 3 else 5 in
-  let iters = if smoke_mode then 20 else 100 in
-  let lg = replay_legacy ops in
-  let ng = replay_new ops in
-  let structure_ok = same_structure lg ng in
-  let row workload ~checked old_f new_f =
-    let t_old = time_scoring ~repeats (fun () -> for _ = 1 to iters do old_f () done) in
-    let t_new = time_scoring ~repeats (fun () -> for _ = 1 to iters do new_f () done) in
-    {
-      k_circuit = name;
-      k_workload = workload;
-      k_old_s = t_old;
-      k_new_s = t_new;
-      k_speedup = t_old /. Float.max 1e-12 t_new;
-      k_checked = checked;
-    }
-  in
-  (* Construction: the full append stream into a fresh core, strash misses
-     throughout. *)
-  let construction =
-    row "construction" ~checked:structure_ok
-      (fun () -> ignore (replay_legacy ops))
-      (fun () -> ignore (replay_new ops))
-  in
-  (* Strash hits: re-issue every AND of the built graph; every probe is a
-     table hit, no node is created. *)
-  let hit_legacy () =
-    let acc = ref 0 in
-    Array.iter
-      (function T_and (a, b) -> acc := !acc lxor Legacy_core.and_ lg a b | _ -> ())
-      ops;
-    ignore !acc
-  and hit_new () =
-    let acc = ref 0 in
-    Array.iter
-      (function T_and (a, b) -> acc := !acc lxor Graph.and_ ng a b | _ -> ())
-      ops;
-    ignore !acc
-  in
-  let nodes_before = Graph.num_nodes ng in
-  hit_legacy ();
-  hit_new ();
-  let hits_ok = Graph.num_nodes ng = nodes_before && Legacy_core.num_nodes lg = nodes_before in
-  let strash_hit = row "strash-hit" ~checked:hits_ok hit_legacy hit_new in
-  (* Rebuild: allocating legacy rebuild vs the arena-backed [rebuild_with]
-     recycling both the mapping scratch and the destination graph. *)
+  let g = replay ops in
   let rb = Graph.rebuilder () in
-  let rebuild_ok =
-    Legacy_core.num_ands (Legacy_core.rebuild lg) = Graph.num_ands (Graph.rebuild src)
-    &&
-    let r = Graph.rebuild_with rb src in
-    let same =
-      Circuit_io.Aiger.graph_to_string r
-      = Circuit_io.Aiger.graph_to_string (Graph.rebuild src)
-    in
-    Graph.recycle rb r;
-    same
-  in
-  let rebuild =
-    row "rebuild" ~checked:rebuild_ok
-      (fun () -> ignore (Legacy_core.rebuild lg))
-      (fun () ->
-        let r = Graph.rebuild_with rb src in
-        Graph.recycle rb r)
-  in
-  (* Derived views, cold: legacy rebuilds the CSR and the level array on
-     every request; the new core recomputes the whole view bundle once per
-     revision (here forced stale each iteration via a PO rewire). *)
-  let v = Graph.views src in
-  let lv_old = Legacy_core.levels lg in
-  let off_old, tgt_old, _, _ = Legacy_core.fanout_build lg in
-  let views_ok =
-    lv_old = Array.sub v.Graph.v_levels 0 (Graph.num_nodes src)
-    && off_old = v.Graph.v_offsets && tgt_old = v.Graph.v_targets
-  in
-  let views_cold =
-    row "views-cold" ~checked:views_ok
-      (fun () ->
-        ignore (Legacy_core.fanout_build lg);
-        ignore (Legacy_core.levels lg))
-      (fun () ->
-        (* Same-literal PO rewire: structurally a no-op, but it bumps the
-           revision and invalidates the cached bundle. *)
+  [
+    ("construction", fun () -> ignore (replay ops));
+    ( "strash-hit",
+      fun () ->
+        Array.iter (function T_and (a, b) -> ignore (Graph.and_ g a b) | _ -> ()) ops );
+    ("rebuild", fun () -> Graph.recycle rb (Graph.rebuild_with rb src));
+    ( "views-cold",
+      fun () ->
         Graph.set_po src 0 (Graph.po_lit src 0);
-        ignore (Graph.views src))
-  in
-  (* Derived views, warm: what a consumer actually pays per query — the old
-     code rebuilt per call, the new one returns the cached bundle. *)
-  let views_warm =
-    row "views-warm" ~checked:views_ok
-      (fun () ->
-        ignore (Legacy_core.fanout_build lg);
-        ignore (Legacy_core.levels lg))
-      (fun () -> ignore (Graph.views src))
-  in
-  (* Clone: the old core's only way to an independent copy was a full
-     strash-re-inserting rebuild; the new one blits the arrays. *)
-  let clone_ok =
-    Circuit_io.Aiger.graph_to_string (Graph.clone src)
-    = Circuit_io.Aiger.graph_to_string src
-  in
-  let clone =
-    row "clone" ~checked:clone_ok
-      (fun () -> ignore (Legacy_core.rebuild lg))
-      (fun () -> ignore (Graph.clone src))
-  in
-  (* Fraig classification over real simulation signatures: string-keyed
-     (materialized complement + O(rounds) key per node) vs direct word
-     hashing. *)
-  let rounds = if smoke_mode then 256 else 1024 in
-  let rng = Logic.Rng.create 7 in
-  let pats = Sim.Patterns.random rng ~npis:(Graph.num_pis src) ~len:rounds in
-  let sigs = Sim.Engine.simulate src pats in
-  let ids =
-    let acc = ref [] in
-    Graph.iter_ands src (fun id -> acc := id :: !acc);
-    Array.of_list (List.rev !acc)
-  in
-  let fraig_ok =
-    Legacy_core.classify_string ~sigs ~ids ~rounds = classify_int ~sigs ~ids
-  in
-  let fraig =
-    row "fraig-classify" ~checked:fraig_ok
-      (fun () -> ignore (Legacy_core.classify_string ~sigs ~ids ~rounds))
-      (fun () -> ignore (classify_int ~sigs ~ids))
-  in
-  [ construction; strash_hit; rebuild; views_cold; views_warm; clone; fraig ]
-
-let core_json rows =
-  let row r =
-    Printf.sprintf
-      "  {\"circuit\": \"%s\", \"workload\": \"%s\", \"old_s\": %.6f, \
-       \"new_s\": %.6f, \"speedup\": %.2f, \"checked\": %b}"
-      r.k_circuit r.k_workload r.k_old_s r.k_new_s r.k_speedup r.k_checked
-  in
-  Printf.sprintf "{\"mode\": \"%s\", \"rows\": [\n%s\n]}\n"
-    (if smoke_mode then "smoke" else "full")
-    (String.concat ",\n" (List.map row rows))
+        ignore (Graph.views src) );
+    ("views-warm", fun () -> ignore (Graph.views src));
+    ("clone", fun () -> ignore (Graph.clone src));
+  ]
 
 let core_bench () =
-  Printf.printf
-    "\n== AIG-core microbenchmark: legacy (boxed strash, per-call views) vs \
-     struct-of-arrays ==\n\
-     %!";
+  Printf.printf "\n== AIG-core microbenchmark: Aig.Graph hot paths (bechamel) ==\n%!";
   let circuits = if smoke_mode then [ "c880" ] else [ "c880"; "c1908"; "c7552"; "mtp8" ] in
   let rows =
     List.concat_map
@@ -1306,38 +1057,30 @@ let core_bench () =
         match Circuits.Suite.find name with
         | None -> failwith ("core bench: unknown circuit " ^ name)
         | Some e ->
-            let rows = core_rows e in
-            List.iter
-              (fun r ->
-                Printf.printf "%-8s %-14s | old %10.3f ms  new %10.3f ms  (%6.1fx)%s\n%!"
-                  r.k_circuit r.k_workload (1e3 *. r.k_old_s) (1e3 *. r.k_new_s)
-                  r.k_speedup
-                  (if r.k_checked then "" else "  RESULT MISMATCH"))
-              rows;
-            rows)
+            let src = Graph.compact (e.Circuits.Suite.build ()) in
+            List.map
+              (fun (workload, f) ->
+                let est = ns_per_run f in
+                (match est with
+                | Some ns -> Printf.printf "%-8s %-14s %14.1f ns/op\n%!" name workload ns
+                | None -> Printf.printf "%-8s %-14s (no estimate)\n%!" name workload);
+                (name, workload, est))
+              (core_workloads src))
       circuits
   in
+  let row (name, workload, est) =
+    Printf.sprintf "  {\"circuit\": \"%s\", \"workload\": \"%s\", \"ns_per_op\": %.1f}"
+      name workload (Option.value est ~default:Float.nan)
+  in
   let out = open_out "BENCH_core.json" in
-  output_string out (core_json rows);
+  Printf.fprintf out "{\"mode\": \"%s\", \"rows\": [\n%s\n]}\n"
+    (if smoke_mode then "smoke" else "full")
+    (String.concat ",\n" (List.map row rows));
   close_out out;
   Printf.printf "wrote BENCH_core.json\n%!";
-  if List.exists (fun r -> not r.k_checked) rows then begin
-    Printf.eprintf "core bench: the two cores disagree — the refactor is WRONG\n";
-    exit 1
-  end;
-  let floor workload = if smoke_mode then 0.5 else
-    match workload with
-    | "construction" | "rebuild" -> 2.0
-    | "clone" -> 1.5
-    | _ -> 0.5
-  in
-  let below = List.filter (fun r -> r.k_speedup < floor r.k_workload) rows in
-  if below <> [] then begin
-    List.iter
-      (fun r ->
-        Printf.eprintf "core bench: %s/%s at %.2fx is below the %.1fx floor\n"
-          r.k_circuit r.k_workload r.k_speedup (floor r.k_workload))
-      below;
+  if List.exists (fun (_, _, est) -> not (Option.value est ~default:0.0 > 0.0)) rows
+  then begin
+    Printf.eprintf "core bench: a row has no positive estimate\n";
     exit 1
   end
 
@@ -1484,45 +1227,35 @@ let resub_bench () =
 
 (* ---------- Driver ---------- *)
 
+(* Every mode, in the order [all] runs them. *)
+let modes =
+  [
+    ("table3", table3);
+    ("table4", table4);
+    ("table5", table5);
+    ("table6", table6);
+    ("table7", table7);
+    ("ablations", ablations);
+    ("micro", micro);
+    ("pool", pool_bench);
+    ("scoring", scoring);
+    ("core", core_bench);
+    ("serve", serve_bench);
+    ("explore", explore_bench);
+    ("maxerr", maxerr_bench);
+    ("resub", resub_bench);
+  ]
+
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   let t0 = Sys.time () in
   let w0 = wall () in
-  (match mode with
-  | "table3" -> table3 ()
-  | "table4" -> table4 ()
-  | "table5" -> table5 ()
-  | "table6" -> table6 ()
-  | "table7" -> table7 ()
-  | "micro" -> micro ()
-  | "pool" -> pool_bench ()
-  | "scoring" -> scoring ()
-  | "core" -> core_bench ()
-  | "serve" -> serve_bench ()
-  | "explore" -> explore_bench ()
-  | "maxerr" -> maxerr_bench ()
-  | "resub" -> resub_bench ()
-  | "ablations" -> ablations ()
-  | "all" ->
-      table3 ();
-      table4 ();
-      table5 ();
-      table6 ();
-      table7 ();
-      ablations ();
-      micro ();
-      pool_bench ();
-      scoring ();
-      core_bench ();
-      serve_bench ();
-      explore_bench ();
-      maxerr_bench ();
-      resub_bench ()
-  | m ->
-      Printf.eprintf
-        "unknown mode %s \
-         (table3|table4|table5|table6|table7|ablations|micro|pool|scoring|core|serve|explore|maxerr|resub|all)\n"
-        m;
+  (match (mode, List.assoc_opt mode modes) with
+  | "all", _ -> List.iter (fun (_, run) -> run ()) modes
+  | _, Some run -> run ()
+  | _, None ->
+      Printf.eprintf "unknown mode %s (%s|all)\n" mode
+        (String.concat "|" (List.map fst modes));
       exit 1);
   Printf.printf "\ntotal bench time: %.1fs cpu, %.1fs wall%s\n" (Sys.time () -. t0)
     (wall () -. w0)

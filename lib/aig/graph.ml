@@ -124,19 +124,21 @@ let strash_hash a b =
 
 (* Probe for the AND node with (normalized) fanins [a], [b].  Returns the
    node id on a hit; on a miss, returns [-slot - 1] for the free slot the
-   probe ended on, so the caller can insert without a second probe. *)
+   probe ended on, so the caller can insert without a second probe.  The
+   probe is top-level, not a closure over the table, so a lookup allocates
+   nothing; the [int] annotations keep [=] an integer compare. *)
+let rec strash_probe (tbl : int array) mask (f0 : int array) (f1 : int array)
+    (a : int) (b : int) i =
+  let s = Array.unsafe_get tbl i in
+  if s = 0 then -i - 1
+  else
+    let id = s - 1 in
+    if Array.unsafe_get f0 id = a && Array.unsafe_get f1 id = b then id
+    else strash_probe tbl mask f0 f1 a b ((i + 1) land mask)
+
 let strash_lookup g a b =
-  let tbl = g.strash and mask = g.strash_mask in
-  let f0 = g.fanin0 and f1 = g.fanin1 in
-  let rec probe i =
-    let s = Array.unsafe_get tbl i in
-    if s = 0 then -i - 1
-    else
-      let id = s - 1 in
-      if Array.unsafe_get f0 id = a && Array.unsafe_get f1 id = b then id
-      else probe ((i + 1) land mask)
-  in
-  probe (strash_hash a b land mask)
+  strash_probe g.strash g.strash_mask g.fanin0 g.fanin1 a b
+    (strash_hash a b land g.strash_mask)
 
 (* Insert into a table with a known-free slot (growth checked by callers). *)
 let table_insert tbl mask a b id =

@@ -4,6 +4,20 @@ module Truth = Logic.Truth
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let dump g = Circuit_io.Aiger.graph_to_string g
+
+let suite_graph name =
+  match Circuits.Suite.find name with
+  | Some e -> Graph.compact (e.Circuits.Suite.build ())
+  | None -> Alcotest.failf "unknown benchmark %s" name
+
+(* Words [f] allocates on the minor heap of the calling domain.
+   [Gc.minor_words] is unboxed, so reading it allocates nothing itself. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
 (* ---------- Graph construction ---------- *)
 
 let test_constant_folding () =
@@ -24,7 +38,39 @@ let test_strash () =
   check_int "one AND" 1 (Graph.num_ands g);
   let z = Graph.and_ g (Graph.lit_not a) b in
   check "different node" true (x <> z);
-  check_int "two ANDs" 2 (Graph.num_ands g)
+  check_int "two ANDs" 2 (Graph.num_ands g);
+  (* Benchmark circuits: replaying each compacted circuit's PI/AND/PO stream
+     into a fresh graph reproduces its AIGER bytes, and re-issuing every AND
+     hits the strash: the existing literal, no new node, no allocation. *)
+  List.iter
+    (fun name ->
+      let g = suite_graph name in
+      let n = Graph.num_nodes g in
+      let f0 = Array.make n 0 and f1 = Array.make n 0 in
+      let h = Graph.create ~name:(Graph.name g) () in
+      for id = 1 to n - 1 do
+        if Graph.is_pi g id then
+          ignore (Graph.add_pi ~name:(Graph.pi_name g (Graph.pi_index g id)) h)
+        else begin
+          f0.(id) <- Graph.fanin0 g id;
+          f1.(id) <- Graph.fanin1 g id;
+          check_int (name ^ ": replayed id") (Graph.make_lit id false)
+            (Graph.and_ h f0.(id) f1.(id))
+        end
+      done;
+      Graph.iter_pos g (fun i l -> ignore (Graph.add_po ~name:(Graph.po_name g i) h l));
+      Alcotest.(check string) (name ^ ": replayed AIGER") (dump g) (dump h);
+      let misses = ref 0 in
+      let words =
+        minor_words (fun () ->
+            for id = Graph.num_pis h + 1 to n - 1 do
+              if Graph.and_ h f0.(id) f1.(id) <> Graph.make_lit id false then incr misses
+            done)
+      in
+      check_int (name ^ ": every AND re-issued hits") 0 !misses;
+      check_int (name ^ ": no node added") n (Graph.num_nodes h);
+      check_int (name ^ ": words allocated by the hits") 0 words)
+    [ "c880"; "c1908"; "c7552"; "mtp8" ]
 
 let test_pi_po_bookkeeping () =
   let g = Graph.create ~name:"t" () in
@@ -299,8 +345,6 @@ let test_set_po () =
 
 (* ---------- SoA core: clone, snapshot, views, rebuilder ---------- *)
 
-let dump g = Circuit_io.Aiger.graph_to_string g
-
 (* Reference recomputation of every derived view through the public
    accessors only — shares nothing with the cache under test. *)
 let naive_views g =
@@ -457,6 +501,30 @@ let test_rebuilder_matches_rebuild () =
     Graph.recycle rb reused
   done
 
+let test_steady_state_allocation () =
+  (* A warm [views] call is a pointer load.  A steady-state rebuild, with
+     the mapping grown and one graph cycling through the arena, returns the
+     allocating rebuild's bytes and allocates a PI or PO name option per
+     interface signal plus a constant: nothing per AND. *)
+  List.iter
+    (fun name ->
+      let g = suite_graph name in
+      ignore (Graph.views g);
+      check_int (name ^ ": warm views words") 0
+        (minor_words (fun () -> ignore (Sys.opaque_identity (Graph.views g))));
+      let rb = Graph.rebuilder () in
+      for _ = 1 to 2 do
+        let r = Graph.rebuild_with rb g in
+        Alcotest.(check string) (name ^ ": arena rebuild") (dump (Graph.rebuild g)) (dump r);
+        Graph.recycle rb r
+      done;
+      let words = minor_words (fun () -> Graph.recycle rb (Graph.rebuild_with rb g)) in
+      let bound = (2 * (Graph.num_pis g + Graph.num_pos g)) + 16 in
+      if words > bound then
+        Alcotest.failf "%s: rebuild_with + recycle allocated %d words (bound %d)" name
+          words bound)
+    [ "c880"; "c1908"; "c7552"; "mtp8" ]
+
 let () =
   Alcotest.run "aig"
     [
@@ -494,6 +562,8 @@ let () =
           Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
           Alcotest.test_case "rebuilder matches rebuild" `Quick
             test_rebuilder_matches_rebuild;
+          Alcotest.test_case "steady-state allocation" `Quick
+            test_steady_state_allocation;
         ] );
       ( "cuts",
         [

@@ -364,6 +364,21 @@ let test_differential_jobs_invariance () =
             check "stats identical at jobs=1 and jobs=4" true (s1 = s4)
       done)
 
+(* The flow's own candidates: [Core.Lac.generate] on a fresh 32-round care
+   set, each cover evaluated over the base signatures the way [Core.Flow]
+   builds its scoring specs; the first 64.  They agree with their target on
+   the care patterns, so their differences on [base] are sparse. *)
+let lac_specs rng g ~base =
+  let rounds = 32 in
+  let care_pats = Sim.Patterns.random rng ~npis:(Graph.num_pis g) ~len:rounds in
+  let care = Sim.Engine.simulate g care_pats in
+  let config = Core.Config.default ~metric:Metrics.Er ~threshold:0.01 in
+  Core.Lac.generate g ~config ~sigs:care ~rounds
+  |> List.filteri (fun i _ -> i < 64)
+  |> List.map (fun (lac : Core.Lac.t) ->
+         let pos_sigs = Array.map (fun d -> base.(d)) lac.Core.Lac.divisors in
+         (lac.Core.Lac.target, Logic.Cover.eval_sigs lac.Core.Lac.cover ~pos_sigs))
+
 let test_differential_benchmark_suite () =
   List.iter
     (fun name ->
@@ -376,11 +391,14 @@ let test_differential_benchmark_suite () =
           let base = Sim.Engine.simulate g pats in
           let targets = random_targets rng g ~count:3 in
           let specs = candidate_specs rng ~base ~targets in
+          let lacs = lac_specs rng g ~base in
+          if lacs = [] then Alcotest.failf "%s: no LAC candidates" name;
+          let specs = specs @ lacs in
           List.iter
             (fun metric ->
               ignore (differential_check g ~metric ~pats ~specs : Errest.Batch.stats))
             all_metrics)
-    [ "c880"; "c1908"; "c2670" ]
+    [ "c880"; "c1908"; "c2670"; "mtp8" ]
 
 let test_early_exit_counter () =
   (* y = (a AND b) AND c.  Flip x = a AND b exactly where c = 0: the
