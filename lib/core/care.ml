@@ -1,8 +1,10 @@
 module Bitvec = Logic.Bitvec
 
-type entry = Unseen | Value of bool | Conflict
+type entry = Unseen | Value of bool
 
 type t = { divisors : int array; table : entry array; care_count : int }
+
+exception Conflict
 
 let scan ?mask ~sigs ~node ~divisors ~rounds () =
   let k = Array.length divisors in
@@ -16,79 +18,47 @@ let scan ?mask ~sigs ~node ~divisors ~rounds () =
   let care_count = ref 0 in
   let div_words = Array.map (fun d -> Bitvec.unsafe_words sigs.(d)) divisors in
   let node_words = Bitvec.unsafe_words sigs.(node) in
-  let wb = Bitvec.word_bits in
-  let record tuple v =
-    match table.(tuple) with
-    | Unseen ->
-        table.(tuple) <- Value v;
-        incr care_count
-    | Value v0 -> if v0 <> v then table.(tuple) <- Conflict
-    | Conflict -> ()
-  in
-  let num_words = ((rounds - 1) / wb) + 1 in
-  let full = Bitvec.word_mask in
   let mask_words = Option.map Bitvec.unsafe_words mask in
-  let valid_of w base =
-    let v = if rounds - base >= wb then full else (1 lsl (rounds - base)) - 1 in
-    match mask_words with None -> v | Some mw -> v land mw.(w)
-  in
-  (* Word-parallel presence/conflict detection: for each divisor tuple,
-     build the mask of rounds exhibiting it and compare the target bits
-     under the mask — O(words) instead of O(rounds). *)
-  let record_masked tuple mask nw =
-    if mask <> 0 then begin
-      let ones = mask land nw <> 0 and zeros = mask land lnot nw <> 0 in
-      if ones && zeros then begin
-        (match table.(tuple) with Unseen -> incr care_count | Value _ | Conflict -> ());
-        table.(tuple) <- Conflict
-      end
-      else record tuple ones
-    end
-  in
-  (match k with
-  | 1 ->
-      let d0 = div_words.(0) in
-      for w = 0 to num_words - 1 do
-        let base = w * wb in
-        let valid = valid_of w base in
-        let dw = d0.(w) and nw = node_words.(w) in
-        record_masked 0 (lnot dw land valid) nw;
-        record_masked 1 (dw land valid) nw
-      done
-  | 2 ->
-      let d0 = div_words.(0) and d1 = div_words.(1) in
-      for w = 0 to num_words - 1 do
-        let base = w * wb in
-        let valid = valid_of w base in
-        let dw0 = d0.(w) and dw1 = d1.(w) and nw = node_words.(w) in
-        record_masked 0 (lnot dw0 land lnot dw1 land valid) nw;
-        record_masked 1 (dw0 land lnot dw1 land valid) nw;
-        record_masked 2 (lnot dw0 land dw1 land valid) nw;
-        record_masked 3 (dw0 land dw1 land valid) nw
-      done
-  | _ ->
-      for w = 0 to num_words - 1 do
-        let base = w * wb in
-        let limit = min wb (rounds - base) in
-        let valid = valid_of w base in
-        let nw = node_words.(w) in
-        for off = 0 to limit - 1 do
-          if (valid lsr off) land 1 = 1 then begin
-            let tuple = ref 0 in
-            for i = 0 to k - 1 do
-              tuple := !tuple lor (((div_words.(i).(w) lsr off) land 1) lsl i)
-            done;
-            record !tuple ((nw lsr off) land 1 = 1)
+  let wb = Bitvec.word_bits in
+  (* Each word is peeled tuple by tuple: the lowest round left names a
+     tuple, k mask operations select every round of the word showing it,
+     and the target bits under that selection give the tuple's value at
+     once.  The first tuple seen with both target values ends the scan. *)
+  match
+    for w = 0 to ((rounds + wb - 1) / wb) - 1 do
+      let left = rounds - (w * wb) in
+      let valid = if left >= wb then Bitvec.word_mask else (1 lsl left) - 1 in
+      let rest = ref (match mask_words with None -> valid | Some mw -> valid land mw.(w)) in
+      let nw = node_words.(w) in
+      while !rest <> 0 do
+        let low = !rest land (- !rest) in
+        let sel = ref !rest and tuple = ref 0 in
+        for i = 0 to k - 1 do
+          let d = div_words.(i).(w) in
+          if d land low <> 0 then begin
+            sel := !sel land d;
+            tuple := !tuple lor (1 lsl i)
           end
-        done
-      done);
-  { divisors; table; care_count = !care_count }
-
-let feasible t = Array.for_all (function Conflict -> false | Unseen | Value _ -> true) t.table
+          else sel := !sel land lnot d
+        done;
+        let ones = !sel land nw in
+        let v = ones <> 0 in
+        if v && ones <> !sel then raise_notrace Conflict;
+        (match table.(!tuple) with
+        | Unseen ->
+            table.(!tuple) <- Value v;
+            incr care_count
+        | Value v0 -> if v0 <> v then raise_notrace Conflict);
+        rest := !rest land lnot !sel
+      done
+    done
+  with
+  | () -> Some { divisors; table; care_count = !care_count }
+  | exception Conflict -> None
 
 let care_tuples t =
   let acc = ref [] in
   for i = Array.length t.table - 1 downto 0 do
-    match t.table.(i) with Unseen -> () | Value _ | Conflict -> acc := i :: !acc
+    if t.table.(i) <> Unseen then acc := i :: !acc
   done;
   !acc

@@ -2,13 +2,12 @@
 
     After simulating [rounds] random PI patterns, the approximate care set of
     node [v] at divisors [g] is the set of value tuples observed across the
-    divisor signatures; each tuple is tagged with the value(s) [v] took on
-    the rounds producing it. *)
+    divisor signatures; each tuple is tagged with the value [v] took on the
+    rounds producing it. *)
 
 type entry =
   | Unseen  (** tuple never observed: don't-care for the resubstitution *)
-  | Value of bool  (** tuple observed with a unique target value *)
-  | Conflict  (** tuple observed with both target values: infeasible *)
+  | Value of bool  (** tuple observed, always with this target value *)
 
 type t = {
   divisors : int array;
@@ -23,22 +22,26 @@ val scan :
   divisors:int array ->
   rounds:int ->
   unit ->
-  t
-(** [sigs] are per-node signatures of at least [rounds] bits (typically from
-    {!Sim.Engine.simulate} on the care pattern set).  At most
-    {!Logic.Truth.max_vars} divisors.
+  t option
+(** Theorem 1 restricted to the simulated patterns (Section III-B2): the
+    divisors can form a resubstitution function of the target when no two
+    rounds produce the same divisor tuple with different target values.
+    [Some t] is the care table of a feasible set; [None] means some tuple
+    was observed with both target values.  The scan reads the signatures
+    one 62-round word at a time and returns [None] at the first word that
+    shows a conflict, so an infeasible set costs only the words up to its
+    first conflict, whatever [rounds] is.
+
+    [sigs] are per-node signatures of at least [rounds] bits (typically from
+    {!Sim.Engine.simulate} on the care pattern set).  Any number of
+    divisors up to {!Logic.Truth.max_vars}, each costing one mask operation
+    per observed tuple and word.
 
     [mask] restricts the scan to the rounds whose bit is set: with an
     observability mask (see {!Errest.Observability}) this yields the
     ODC-aware approximate care set — rounds on which the target's value
     cannot reach an output impose no constraint (an extension beyond the
     paper, off by default; see DESIGN.md §5). *)
-
-val feasible : t -> bool
-(** Theorem 1 restricted to the simulated patterns (Section III-B2): the
-    divisors can form a resubstitution function of the target when no two
-    rounds produce the same divisor tuple with different target values,
-    i.e. the table has no {!Conflict} entry. *)
 
 val care_tuples : t -> int list
 (** Observed tuples, ascending. *)

@@ -6,8 +6,7 @@ let tables (care : Care.t) =
       match entry with
       | Care.Value true -> on := Logic.Truth.set !on tuple true
       | Care.Value false -> ()
-      | Care.Unseen -> dc := Logic.Truth.set !dc tuple true
-      | Care.Conflict -> invalid_arg "Resub.tables: infeasible care scan")
+      | Care.Unseen -> dc := Logic.Truth.set !dc tuple true)
     care.Care.table;
   (!on, !dc)
 
@@ -15,14 +14,9 @@ let minimize care =
   let on, dc = tables care in
   Logic.Espresso.minimize ~on ~dc
 
-(* A feasible care table over k divisors is a base-3 number: one digit per
-   tuple, 0 = unseen, 1 = observed 0, 2 = observed 1, tuple 0 least
-   significant. *)
-let digit = function
-  | Care.Unseen -> 0
-  | Care.Value false -> 1
-  | Care.Value true -> 2
-  | Care.Conflict -> invalid_arg "Resub.tables: infeasible care scan"
+(* A care table over k divisors is a base-3 number: one digit per tuple,
+   0 = unseen, 1 = observed 0, 2 = observed 1, tuple 0 least significant. *)
+let digit = function Care.Unseen -> 0 | Care.Value false -> 1 | Care.Value true -> 2
 
 let care_of_code k code =
   let rest = ref code in
@@ -57,10 +51,8 @@ let derive (care : Care.t) =
 let expr_of_cover = Logic.Factor.of_cover
 
 let attempt ?mask ~sigs ~rounds ~node ~savings divisors =
-  let care = Care.scan ?mask ~sigs ~node ~divisors ~rounds () in
-  if Care.feasible care then begin
-    let cover = derive care in
-    let expr = expr_of_cover cover in
-    Some (cover, expr, savings - Logic.Factor.and2_cost expr)
-  end
-  else None
+  Care.scan ?mask ~sigs ~node ~divisors ~rounds ()
+  |> Option.map (fun care ->
+         let cover = derive care in
+         let expr = expr_of_cover cover in
+         (cover, expr, savings - Logic.Factor.and2_cost expr))

@@ -298,6 +298,9 @@ let run ?pool ?(config = default) g0 =
     stats := add_stats !stats st;
     progress := st.accepted > 0
   done;
+  (* Right-size the result, as [Flow.run] does: a caller keeping many
+     results would otherwise keep every graph's growth slack alive. *)
+  Graph.trim !g;
   (!g, !stats)
 
 let pass ?pool ?config () g = fst (run ?pool ?config g)

@@ -74,7 +74,9 @@ val run :
   Aig.Graph.t * stats
 (** Run passes to a fixpoint (or [max_passes]).  The result is proven
     equivalent to the input at every commit point, never larger in AND
-    count, and has the same PI/PO interface.  The input is not modified. *)
+    count, and has the same PI/PO interface.  It is trimmed
+    ({!Aig.Graph.trim}), so a caller keeping many results keeps no growth
+    slack.  The input is not modified. *)
 
 val pass : ?pool:Parallel.Pool.t -> ?config:config -> unit -> Aig.Graph.t -> Aig.Graph.t
 (** [pass () ] is {!run} with the stats dropped — the shape

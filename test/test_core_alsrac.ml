@@ -110,16 +110,21 @@ let example_sigs () =
   (* Node layout: 0 unused, 1 = u, 2 = z, 3 = v. *)
   [| Bitvec.create 5; u; z; v |]
 
+(* The care table of a scan the test expects to be feasible. *)
+let feasible_scan ?mask ~sigs ~node ~divisors ~rounds () =
+  match Core.Care.scan ?mask ~sigs ~node ~divisors ~rounds () with
+  | Some care -> care
+  | None -> Alcotest.fail "care scan found a conflict"
+
 let test_example3_feasibility () =
   let sigs = example_sigs () in
-  let care = Core.Care.scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:5 () in
-  check "feasible (Example 3)" true (Core.Care.feasible care);
+  let care = feasible_scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:5 () in
   check_int "three care tuples (Table II)" 3 care.Core.Care.care_count;
   Alcotest.(check (list int)) "tuples 00,01,10" [ 0; 1; 2 ] (Core.Care.care_tuples care)
 
 let test_example4_resub_function () =
   let sigs = example_sigs () in
-  let care = Core.Care.scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:5 () in
+  let care = feasible_scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:5 () in
   let cover = Core.Resub.derive care in
   (* Expected v_hat = !u & !z (Table II with the don't-care at 11 set to 0). *)
   let tt = Logic.Cover.to_truth cover in
@@ -137,12 +142,12 @@ let test_example2_infeasibility () =
   let z = Bitvec.of_string "0000110011001100" in
   let v = Bitvec.of_string "1100000000110000" in
   let sigs = [| Bitvec.create 16; u; z; v |] in
-  let care = Core.Care.scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:16 () in
-  check "infeasible (Example 2)" false (Core.Care.feasible care)
+  check "infeasible (Example 2)" true
+    (Core.Care.scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:16 () = None)
 
 let test_care_unseen_tuples_are_dc () =
   let sigs = example_sigs () in
-  let care = Core.Care.scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:5 () in
+  let care = feasible_scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:5 () in
   let on, dc = Core.Resub.tables care in
   check "tuple 11 is dc" true (Logic.Truth.get dc 3);
   check "tuple 00 is on" true (Logic.Truth.get on 0);
@@ -187,13 +192,97 @@ let test_derive_table_oracle () =
   for _ = 1 to 300 do
     let care = care_of_code 3 (Logic.Rng.int rng 6561) in
     check "3-divisor cover = Espresso" true (Core.Resub.derive care = espresso care)
+  done
+
+(* ---------- Care scan (Section III-B2) ---------- *)
+
+(* The per-round scan [Care.scan] replaced, kept as its oracle: every valid
+   round in turn, its tuple built from the divisor bits, the target bit
+   recorded; [None] when some tuple shows both target values. *)
+let reference_scan ?mask ~sigs ~node ~divisors ~rounds () =
+  let table = Array.make (1 lsl Array.length divisors) Core.Care.Unseen in
+  let conflict = ref false in
+  for r = 0 to rounds - 1 do
+    if Option.fold ~none:true ~some:(fun m -> Bitvec.get m r) mask then begin
+      let tuple = ref 0 in
+      Array.iteri
+        (fun i d -> if Bitvec.get sigs.(d) r then tuple := !tuple lor (1 lsl i))
+        divisors;
+      let v = Bitvec.get sigs.(node) r in
+      match table.(!tuple) with
+      | Core.Care.Unseen -> table.(!tuple) <- Core.Care.Value v
+      | Core.Care.Value v0 -> if v0 <> v then conflict := true
+    end
   done;
-  let conflict = care_of_code 2 0 in
-  conflict.Core.Care.table.(0) <- Core.Care.Conflict;
-  check "conflict rejected" true
-    (match Core.Resub.derive conflict with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  if !conflict then None
+  else
+    let care_count =
+      Array.fold_left (fun n e -> if e = Core.Care.Unseen then n else n + 1) 0 table
+    in
+    Some { Core.Care.divisors; table; care_count }
+
+let test_scan_reference () =
+  let rng = Logic.Rng.create 19 in
+  let infeasible = ref 0 and flips = ref 0 and flip_conflicts = ref 0 in
+  for k = 0 to 4 do
+    List.iter
+      (fun rounds ->
+        for trial = 1 to 6 do
+          (* Signatures run 70 bits past [rounds], so a scan that reads
+             beyond its last round sees random data. *)
+          let len = rounds + 70 in
+          let sigs = Array.init (k + 1) (fun _ -> Bitvec.random rng len) in
+          let divisors = Array.init k (fun i -> k - i) in
+          let tuple r =
+            Array.to_list divisors
+            |> List.mapi (fun i d -> if Bitvec.get sigs.(d) r then 1 lsl i else 0)
+            |> List.fold_left ( lor ) 0
+          in
+          (* Node 0 is the target: a random signature; a random function of
+             the divisors; that function with its last round flipped. *)
+          let f = Logic.Rng.bits62 rng in
+          let func = Bitvec.init len (fun r -> (f lsr tuple r) land 1 = 1) in
+          let flipped = Bitvec.copy func in
+          Bitvec.set flipped (rounds - 1) (not (Bitvec.get func (rounds - 1)));
+          let random_mask = Bitvec.random rng len in
+          let all = Bitvec.init len (fun _ -> true) in
+          let without_flip m =
+            let m = Bitvec.copy m in
+            Bitvec.set m (rounds - 1) false;
+            m
+          in
+          List.iter
+            (fun (what, target, masks) ->
+              sigs.(0) <- target;
+              List.iter
+                (fun mask ->
+                  let got = Core.Care.scan ?mask ~sigs ~node:0 ~divisors ~rounds ()
+                  and expected = reference_scan ?mask ~sigs ~node:0 ~divisors ~rounds () in
+                  if got <> expected then
+                    Alcotest.failf "k=%d rounds=%d trial %d %s mask=%b: scan differs" k rounds
+                      trial what (mask <> None);
+                  if got = None then incr infeasible;
+                  if (what = "function" || what = "flip masked") && got = None then
+                    Alcotest.failf "k=%d rounds=%d %s: a function of the divisors conflicts" k
+                      rounds what;
+                  (* Past one word, the flip conflicts unless its tuple shows
+                     nowhere else — rare at 16 tuples or fewer. *)
+                  if what = "flipped" && mask = None && rounds > Bitvec.word_bits then begin
+                    incr flips;
+                    if got = None then incr flip_conflicts
+                  end)
+                masks)
+            [
+              ("random", Bitvec.random rng len, [ None; Some random_mask ]);
+              ("function", func, [ None; Some random_mask ]);
+              ("flipped", flipped, [ None; Some random_mask ]);
+              ("flip masked", flipped, [ Some (without_flip all); Some (without_flip random_mask) ]);
+            ]
+        done)
+      [ 1; 5; 61; 62; 63; 124; 125; 1024 ]
+  done;
+  check "conflicts exercised" true (!infeasible > 400);
+  check "late flips conflict" true (!flip_conflicts * 10 >= !flips * 9)
 
 (* ---------- LAC generation (Algorithm 2) ---------- *)
 
@@ -256,10 +345,9 @@ let eager_ranked ?obs g ~max_tfi ~sigs ~rounds =
         let feasible =
           List.filter_map
             (fun divisors ->
-              let care = Core.Care.scan ?mask ~sigs ~node:v ~divisors ~rounds () in
-              if Core.Care.feasible care then
-                Some (Core.Divisor.true_savings g ~in_mffc ~mffc_size divisors, divisors, care)
-              else None)
+              Core.Care.scan ?mask ~sigs ~node:v ~divisors ~rounds ()
+              |> Option.map (fun care ->
+                     (Core.Divisor.true_savings g ~in_mffc ~mffc_size divisors, divisors, care)))
             (Core.Divisor.select g ~max_tfi v)
         in
         per_node :=
@@ -544,12 +632,12 @@ let test_odc_masked_scan () =
   let v = Bitvec.of_string "1100000000110000" in
   let sigs = [| Bitvec.create 16; u; z; v |] in
   let unmasked = Core.Care.scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:16 () in
-  check "conflict without mask" false (Core.Care.feasible unmasked);
+  check "conflict without mask" true (unmasked = None);
   (* Mask the minority rounds of both conflicting tuples (uz=10 conflicts
      through round 1; uz=11 through rounds 10 and 11). *)
   let mask = Bitvec.init 16 (fun m -> not (m = 1 || m = 10 || m = 11)) in
   let masked = Core.Care.scan ~mask ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:16 () in
-  check "feasible under mask" true (Core.Care.feasible masked)
+  check "feasible under mask" true (Option.is_some masked)
 
 let test_flow_with_odc () =
   let g = Circuits.Epfl_control.cavlc () in
@@ -638,6 +726,7 @@ let () =
           Alcotest.test_case "unseen tuples are dc" `Quick test_care_unseen_tuples_are_dc;
           Alcotest.test_case "derivation table = espresso" `Quick test_derive_table_oracle;
         ] );
+      ("care", [ Alcotest.test_case "scan = per-round reference" `Quick test_scan_reference ]);
       ( "lac",
         [
           Alcotest.test_case "generation" `Quick test_lac_generation;
