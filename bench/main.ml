@@ -790,29 +790,14 @@ let ablations () =
    into a fresh directory: every front file must be byte-identical (exit 1
    otherwise). *)
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let fronts_identical dir_a dir_b =
   let ls d = Sys.readdir (Filename.concat d "fronts") |> Array.to_list |> List.sort compare in
   let fa = ls dir_a and fb = ls dir_b in
   fa = fb
   && List.for_all
        (fun f ->
-         read_file (Filename.concat (Filename.concat dir_a "fronts") f)
-         = read_file (Filename.concat (Filename.concat dir_b "fronts") f))
+         Circuit_io.Atomic_file.read (Filename.concat (Filename.concat dir_a "fronts") f)
+         = Circuit_io.Atomic_file.read (Filename.concat (Filename.concat dir_b "fronts") f))
        fa
 
 let explore_bench () =
@@ -829,7 +814,7 @@ let explore_bench () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "alsrac-bench-explore-%d" (Unix.getpid ()))
   in
-  rm_rf root;
+  Circuit_io.Atomic_file.rm_rf root;
   Unix.mkdir root 0o755;
   let sweep jobs =
     let dir = Filename.concat root (Printf.sprintf "greedy-j%d" jobs) in
@@ -862,7 +847,7 @@ let explore_bench () =
   let identical = fronts_identical j1 j2 in
   Printf.printf "determinism: jobs=1 vs jobs=2 front files %s\n%!"
     (if identical then "byte-identical" else "DIFFER");
-  rm_rf root;
+  Circuit_io.Atomic_file.rm_rf root;
   if not identical then begin
     Printf.eprintf "explore bench: fronts are not jobs-invariant\n";
     exit 1

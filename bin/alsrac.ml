@@ -875,8 +875,8 @@ let serve_term =
 let serve_cmd' =
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the resident ALS daemon: named sessions keep circuits, fanout \
-             and simulation state warm across requests, with per-request \
+       ~doc:"Run the resident ALS daemon: named sessions keep circuits and \
+             simulation state warm across requests, with per-request \
              deadlines, bounded-queue backpressure and crash-resumable \
              journaled state")
     serve_term

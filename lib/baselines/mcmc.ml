@@ -6,9 +6,7 @@ type config = {
   threshold : float;
   eval_rounds : int;
   proposals : int;
-  temperature : float;
   seed : int;
-  margin : float;
 }
 
 let default_config ~metric ~threshold =
@@ -17,10 +15,11 @@ let default_config ~metric ~threshold =
     threshold;
     eval_rounds = 4096;
     proposals = 2000;
-    temperature = 2.0;
     seed = 1;
-    margin = 1.0;
   }
+
+(* Metropolis temperature on the AND-count cost. *)
+let temperature = 2.0
 
 type report = {
   input_ands : int;
@@ -77,7 +76,7 @@ let run ~config g0 =
       end
     in
     let err = Errest.Batch.candidate_error !batch ~node:v ~new_sig in
-    if err <= config.threshold *. config.margin then begin
+    if err <= config.threshold then begin
       let candidate =
         Graph.rebuild
           ~replace:(fun id ->
@@ -88,7 +87,7 @@ let run ~config g0 =
       let delta = Graph.num_ands candidate - Graph.num_ands !g in
       let accept =
         delta <= 0
-        || Logic.Rng.float rng < exp (-.float_of_int delta /. config.temperature)
+        || Logic.Rng.float rng < exp (-.float_of_int delta /. temperature)
       in
       if accept then begin
         g := candidate;

@@ -12,10 +12,10 @@ type config = {
   threshold : float;
   eval_rounds : int;
   proposals : int;  (** MCMC chain length *)
-  temperature : float;  (** Metropolis temperature on the AND-count cost *)
   seed : int;
-  margin : float;
 }
+(** Fixed, not configurable: Metropolis temperature 2.0 on the AND-count
+    cost, and acceptance at error [<= threshold]. *)
 
 val default_config : metric:Errest.Metrics.kind -> threshold:float -> config
 

@@ -5,11 +5,8 @@ type config = {
   metric : Errest.Metrics.kind;
   threshold : float;
   eval_rounds : int;
-  max_candidates_per_node : int;
   seed : int;
-  resyn : Core.Config.resyn_level;
   max_iters : int;
-  margin : float;
   max_seconds : float;
 }
 
@@ -18,16 +15,13 @@ let default_config ~metric ~threshold =
     metric;
     threshold;
     eval_rounds = 4096;
-    max_candidates_per_node = 4;
     seed = 1;
-    (* SASIMI is "substitute and simplify": dead-logic removal plus light
-       cleanup, not a full resynthesis (see EXPERIMENTS.md for the ablation
-       with Compress2). *)
-    resyn = Core.Config.Light;
     max_iters = 10_000;
-    margin = 1.0;
     max_seconds = infinity;
   }
+
+(* Similar-signal candidates kept per node. *)
+let max_candidates_per_node = 4
 
 type report = {
   input_ands : int;
@@ -39,16 +33,10 @@ type report = {
 
 type action = Sub_signal of int * bool (* source node, complemented *) | Sub_const of bool
 
-let optimize (resyn : Core.Config.resyn_level) g =
-  match resyn with
-  | Core.Config.No_resyn -> Graph.compact g
-  | Core.Config.Light -> Aig.Resyn.light g
-  | Core.Config.Compress2 -> Aig.Resyn.compress2 g
-
 (* Similar-signal candidates for node [v]: sources that precede it
    topologically (hence provably outside its TFO), ranked by signature
    hamming distance in either phase, plus the two constants. *)
-let candidates_for g sim_sigs rounds cfg v =
+let candidates_for g sim_sigs rounds v =
   let sig_v = sim_sigs.(v) in
   let scored = ref [] in
   for s = 1 to v - 1 do
@@ -67,7 +55,7 @@ let candidates_for g sim_sigs rounds cfg v =
     | _ when n = 0 -> []
     | (_, act) :: rest -> act :: take (n - 1) rest
   in
-  take cfg.max_candidates_per_node sorted
+  take max_candidates_per_node sorted
 
 let run ~config g0 =
   let t_start = Sys.time () in
@@ -81,7 +69,9 @@ let run ~config g0 =
   in
   let golden = Sim.Engine.simulate_pos original eval_pats in
   let sim_rounds = 128 in
-  let g = ref (optimize config.resyn original) in
+  (* SASIMI is "substitute and simplify": dead-logic removal plus light
+     cleanup after every substitution, not a full resynthesis. *)
+  let g = ref (Aig.Resyn.light original) in
   let applied = ref 0 in
   let finished = ref false in
   while
@@ -110,7 +100,7 @@ let run ~config g0 =
                     if compl then Bitvec.lognot base_sigs.(s) else Bitvec.copy base_sigs.(s)
               in
               let err = Errest.Batch.candidate_error batch ~node:v ~new_sig in
-              if err <= config.threshold *. config.margin then begin
+              if err <= config.threshold then begin
                 let better =
                   match !best with
                   | None -> true
@@ -118,7 +108,7 @@ let run ~config g0 =
                 in
                 if better then best := Some (err, gain, v, action)
               end)
-            (candidates_for !g sim_sigs sim_rounds config v)
+            (candidates_for !g sim_sigs sim_rounds v)
         end);
     match !best with
     | None -> finished := true
@@ -131,7 +121,7 @@ let run ~config g0 =
         let replaced =
           Graph.rebuild ~replace:(fun id -> if id = v then Some replacement else None) !g
         in
-        let optimized = optimize config.resyn replaced in
+        let optimized = Aig.Resyn.light replaced in
         if Graph.num_ands optimized >= Graph.num_ands !g then finished := true
         else begin
           g := optimized;

@@ -11,13 +11,13 @@ type config = {
   metric : Errest.Metrics.kind;
   threshold : float;
   eval_rounds : int;
-  max_candidates_per_node : int;  (** similar-signal candidates kept *)
   seed : int;
-  resyn : Core.Config.resyn_level;
   max_iters : int;
-  margin : float;
   max_seconds : float;  (** wall-clock budget; [infinity] = unbounded *)
 }
+(** Fixed, not configurable: 4 similar-signal candidates per node, light
+    resynthesis ({!Aig.Resyn.light}) after each substitution, and
+    acceptance at error [<= threshold]. *)
 
 val default_config : metric:Errest.Metrics.kind -> threshold:float -> config
 

@@ -12,7 +12,8 @@
     [checkpoint] to [checkpoint.prev] and atomically writes a new snapshot:
     the complete loop state (RNG stream position, dynamic simulation round
     [N], patience counters, accepted-event list, quarantine set) followed by
-    the current graph as checksummed AIGER text and an [end] marker.  Because
+    the current graph as checksummed AIGER text and an [end] marker — a
+    {!Circuit_io.Record}, as is the manifest.  Because
     every write is write-to-temp + rename and the graph section carries a
     byte count and checksum, {!load} can always distinguish a complete
     snapshot from a torn one, and falls back — newest checkpoint, previous

@@ -3,24 +3,26 @@ module Bitvec = Logic.Bitvec
 
 type config = {
   rounds : int;
-  check_rounds : int;
   seed : int;
   max_passes : int;
   cec_rounds : int;
-  cec_effort : Verify.Cec.effort;
-  undecided_patience : int;
 }
 
 let default =
   {
     rounds = 1024;
-    check_rounds = 2048;
     seed = 1;
     max_passes = 4;
     cec_rounds = 256;
-    cec_effort = Verify.Cec.Fast;
-    undecided_patience = 4;
   }
+
+(* Independent re-simulation rounds gating each commit before CEC on
+   non-exhaustive sweeps. *)
+let check_rounds = 2048
+
+(* Consecutive [Undecided] verdicts after which a sweep stops attempting
+   commits. *)
+let undecided_patience = 4
 
 type stats = {
   passes : int;
@@ -109,9 +111,9 @@ let sweep ?pool (cfg : config) ~rng g =
      the pattern budget drown the sweep in portfolio calls that can only
      end Refuted or Undecided. *)
   let check =
-    if exhaustive || cfg.check_rounds <= 0 then None
+    if exhaustive then None
     else begin
-      let cpats = Sim.Patterns.random rng ~npis ~len:cfg.check_rounds in
+      let cpats = Sim.Patterns.random rng ~npis ~len:check_rounds in
       let cgolden = Sim.Engine.po_values g (Sim.Engine.simulate ?pool g cpats) in
       Some (cpats, cgolden)
     end
@@ -164,7 +166,7 @@ let sweep ?pool (cfg : config) ~rng g =
      function of the graph and the seed), so giving up on it preserves the
      byte-identity contract; a later pass starts with fresh patience. *)
   let undecided_streak = ref 0 in
-  let gave_up () = !undecided_streak >= max cfg.undecided_patience 1 in
+  let gave_up () = !undecided_streak >= undecided_patience in
   let try_commit v (c : cand) ~mffc =
     Hashtbl.replace replacements v (Graph.Replace_expr (c.expr, c.divisors));
     let rollback () = Hashtbl.remove replacements v in
@@ -196,7 +198,7 @@ let sweep ?pool (cfg : config) ~rng g =
              cost is the new replacement. *)
           match
             Verify.Cec.run ~seed:(cfg.seed + 0xE5B) ~rounds:cfg.cec_rounds
-              ~effort:cfg.cec_effort g g'
+              ~effort:Verify.Cec.Fast g g'
           with
           | Verify.Cec.Equivalent ->
               undecided_streak := 0;

@@ -32,20 +32,17 @@
 
 type config = {
   rounds : int;  (** simulation rounds per sweep (exhaustive if it fits) *)
-  check_rounds : int;
-      (** independent re-simulation rounds gating each commit before CEC on
-          non-exhaustive sweeps; [0] disables the filter *)
   seed : int;  (** fixes the pattern stream and the CEC seed *)
   max_passes : int;  (** sweep cap; passes stop early at a fixpoint *)
   cec_rounds : int;  (** refutation rounds of each certification call *)
-  cec_effort : Verify.Cec.effort;
-  undecided_patience : int;
-      (** consecutive [Undecided] verdicts after which the sweep stops
-          attempting commits — on graphs whose delta miters the portfolio
-          cannot close (deep dividers, square roots) every attempt is a
-          seconds-long guaranteed rollback.  Deterministic: the streak is a
-          function of the graph and the seed.  Minimum 1. *)
 }
+(** Fixed, not configurable: on non-exhaustive sweeps 2048 independent
+    re-simulation rounds gate each commit before CEC; certification runs
+    at [Verify.Cec.Fast] effort; and after 4 consecutive [Undecided]
+    verdicts a sweep stops attempting commits — on graphs whose delta
+    miters the portfolio cannot close (deep dividers, square roots) every
+    attempt is a seconds-long guaranteed rollback.  The streak is a
+    function of the graph and the seed, so stopping is deterministic. *)
 
 val default : config
 

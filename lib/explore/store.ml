@@ -1,3 +1,5 @@
+module Record = Circuit_io.Record
+
 type manifest = {
   benchmarks : string list;
   ladders : Ladder.t list;
@@ -30,106 +32,45 @@ type result = {
 
 let format_line = "alsrac-explore 1"
 
-(* ---------- kv plumbing (same shape as the flow journal) ---------- *)
-
-let kv_to_string kvs =
-  let buf = Buffer.create 256 in
-  List.iter (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s %s\n" k v)) kvs;
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
-
-let kv_of_string ~what text =
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-  in
-  match List.rev lines with
-  | "end" :: rev_body ->
-      List.rev_map
-        (fun line ->
-          match String.index_opt line ' ' with
-          | Some i ->
-              ( String.sub line 0 i,
-                String.sub line (i + 1) (String.length line - i - 1) )
-          | None -> failwith (Printf.sprintf "%s: bad line %S" what line))
-        rev_body
-  | _ -> failwith (Printf.sprintf "%s: missing end marker" what)
-
-let field ~what kvs k =
-  match List.assoc_opt k kvs with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "%s: missing field %s" what k)
-
-let int_field ~what kvs k =
-  match int_of_string_opt (field ~what kvs k) with
-  | Some i -> i
-  | None -> failwith (Printf.sprintf "%s: bad int field %s" what k)
-
-let float_field ~what kvs k =
-  match float_of_string_opt (field ~what kvs k) with
-  | Some f -> f
-  | None -> failwith (Printf.sprintf "%s: bad float field %s" what k)
-
 (* ---------- manifest ---------- *)
 
 let manifest_to_string m =
-  format_line ^ "\n"
-  ^ kv_to_string
-      [
-        ("benchmarks", String.concat "," m.benchmarks);
-        ("ladder", Ladder.to_spec m.ladders);
-        ("policy", "greedy");
-        ("seed", string_of_int m.seed);
-        ("eval_rounds", string_of_int m.eval_rounds);
-        ("max_iters", string_of_int m.max_iters);
-        ("distr", Errest.Distr.to_string m.distr);
-      ]
+  Record.to_string ~header:format_line
+    [
+      ("benchmarks", String.concat "," m.benchmarks);
+      ("ladder", Ladder.to_spec m.ladders);
+      ("policy", "greedy");
+      ("seed", string_of_int m.seed);
+      ("eval_rounds", string_of_int m.eval_rounds);
+      ("max_iters", string_of_int m.max_iters);
+      ("distr", Errest.Distr.to_string m.distr);
+    ]
 
 let manifest_of_string text =
-  let what = "explore manifest" in
-  match String.index_opt text '\n' with
-  | Some i when String.sub text 0 i = format_line ->
-      let kvs =
-        kv_of_string ~what (String.sub text (i + 1) (String.length text - i - 1))
-      in
-      let ladders =
-        match Ladder.parse (field ~what kvs "ladder") with
-        | Ok ls -> ls
-        | Error e -> failwith (Printf.sprintf "%s: %s" what e)
-      in
-      (match field ~what kvs "policy" with
-      | "greedy" -> ()
-      | p ->
-          failwith
-            (Printf.sprintf
-               "%s: sweep used candidate-selection policy %S, which has been \
-                removed; only greedy sweeps can be resumed"
-               what p));
-      {
-        benchmarks = String.split_on_char ',' (field ~what kvs "benchmarks");
-        ladders;
-        seed = int_field ~what kvs "seed";
-        eval_rounds = int_field ~what kvs "eval_rounds";
-        max_iters = int_field ~what kvs "max_iters";
-        distr =
-          (* Manifests written before the distribution axis existed carry
-             no [distr] key: those sweeps were uniform. *)
-          (match List.assoc_opt "distr" kvs with
-          | None -> Errest.Distr.Unif
-          | Some v -> (
-              match Errest.Distr.of_string v with
-              | Ok d -> d
-              | Error e -> failwith (Printf.sprintf "%s: bad distr: %s" what e)));
-      }
-  | _ -> failwith (Printf.sprintf "%s: not an %s file" what format_line)
+  let r = Record.of_string ~format:"explore manifest" ~header:format_line text in
+  (match Record.string r "policy" with
+  | "greedy" -> ()
+  | p ->
+      Record.fail r
+        "sweep used candidate-selection policy %S, which has been removed; \
+         only greedy sweeps can be resumed"
+        p);
+  {
+    benchmarks = String.split_on_char ',' (Record.string r "benchmarks");
+    ladders = Record.get r "ladder" (fun v -> Result.to_option (Ladder.parse v));
+    seed = Record.int r "seed";
+    eval_rounds = Record.int r "eval_rounds";
+    max_iters = Record.int r "max_iters";
+    distr =
+      (* Manifests written before the distribution axis existed carry no
+         [distr] key: those sweeps were uniform. *)
+      Record.get_opt r "distr" (fun v -> Result.to_option (Errest.Distr.of_string v))
+      |> Option.value ~default:Errest.Distr.Unif;
+  }
 
 let manifest_path dir = Filename.concat dir "manifest"
 let points_dir dir = Filename.concat dir "points"
 let fronts_dir dir = Filename.concat dir "fronts"
-
-let ensure_dir d =
-  if not (Sys.file_exists d) then
-    try Sys.mkdir d 0o755
-    with Sys_error _ when Sys.file_exists d -> () (* racing shard won *)
 
 (* [Atomic_file.write] stages its temporary file next to the target, so a
    process killed mid-write strands a [*.tmp.*] file in the sweep
@@ -147,9 +88,8 @@ let load_manifest dir =
   else None
 
 let init ~dir m =
-  ensure_dir dir;
-  ensure_dir (points_dir dir);
-  ensure_dir (fronts_dir dir);
+  Circuit_io.Atomic_file.mkdir_p (points_dir dir);
+  Circuit_io.Atomic_file.mkdir_p (fronts_dir dir);
   remove_debris dir;
   remove_debris (points_dir dir);
   remove_debris (fronts_dir dir);
@@ -165,56 +105,51 @@ let point_path dir index =
   Filename.concat (points_dir dir) (Printf.sprintf "point-%06d" index)
 
 let result_to_string r =
-  kv_to_string
+  let i = string_of_int and f = Record.float_to_string in
+  Record.to_string
     [
-      ("point", string_of_int r.index);
+      ("point", i r.index);
       ("bench", r.bench);
       ("metric", Errest.Metrics.kind_to_string r.metric);
-      ("budget", Printf.sprintf "%h" r.budget);
-      ("est_error", Printf.sprintf "%h" r.est_error);
-      ("orig_ands", string_of_int r.orig_ands);
-      ("ands", string_of_int r.ands);
-      ("orig_luts", string_of_int r.orig_luts);
-      ("luts", string_of_int r.luts);
-      ("orig_lut_depth", string_of_int r.orig_lut_depth);
-      ("lut_depth", string_of_int r.lut_depth);
-      ("orig_area", Printf.sprintf "%h" r.orig_area);
-      ("area", Printf.sprintf "%h" r.area);
-      ("orig_delay", Printf.sprintf "%h" r.orig_delay);
-      ("delay", Printf.sprintf "%h" r.delay);
-      ("applied", string_of_int r.applied);
-      ("scored", string_of_int r.scored);
-      ("runtime_s", Printf.sprintf "%h" r.runtime_s);
+      ("budget", f r.budget);
+      ("est_error", f r.est_error);
+      ("orig_ands", i r.orig_ands);
+      ("ands", i r.ands);
+      ("orig_luts", i r.orig_luts);
+      ("luts", i r.luts);
+      ("orig_lut_depth", i r.orig_lut_depth);
+      ("lut_depth", i r.lut_depth);
+      ("orig_area", f r.orig_area);
+      ("area", f r.area);
+      ("orig_delay", f r.orig_delay);
+      ("delay", f r.delay);
+      ("applied", i r.applied);
+      ("scored", i r.scored);
+      ("runtime_s", f r.runtime_s);
     ]
 
 let result_of_string text =
-  let what = "explore point" in
-  let kvs = kv_of_string ~what text in
-  let metric =
-    let m = field ~what kvs "metric" in
-    match Errest.Metrics.kind_of_string m with
-    | Some k -> k
-    | None -> failwith (Printf.sprintf "%s: unknown metric %S" what m)
-  in
+  let r = Record.of_string ~format:"explore point" text in
+  let int = Record.int r and float = Record.float r in
   {
-    index = int_field ~what kvs "point";
-    bench = field ~what kvs "bench";
-    metric;
-    budget = float_field ~what kvs "budget";
-    est_error = float_field ~what kvs "est_error";
-    orig_ands = int_field ~what kvs "orig_ands";
-    ands = int_field ~what kvs "ands";
-    orig_luts = int_field ~what kvs "orig_luts";
-    luts = int_field ~what kvs "luts";
-    orig_lut_depth = int_field ~what kvs "orig_lut_depth";
-    lut_depth = int_field ~what kvs "lut_depth";
-    orig_area = float_field ~what kvs "orig_area";
-    area = float_field ~what kvs "area";
-    orig_delay = float_field ~what kvs "orig_delay";
-    delay = float_field ~what kvs "delay";
-    applied = int_field ~what kvs "applied";
-    scored = int_field ~what kvs "scored";
-    runtime_s = float_field ~what kvs "runtime_s";
+    index = int "point";
+    bench = Record.string r "bench";
+    metric = Record.get r "metric" Errest.Metrics.kind_of_string;
+    budget = float "budget";
+    est_error = float "est_error";
+    orig_ands = int "orig_ands";
+    ands = int "ands";
+    orig_luts = int "orig_luts";
+    luts = int "luts";
+    orig_lut_depth = int "orig_lut_depth";
+    lut_depth = int "lut_depth";
+    orig_area = float "orig_area";
+    area = float "area";
+    orig_delay = float "orig_delay";
+    delay = float "delay";
+    applied = int "applied";
+    scored = int "scored";
+    runtime_s = float "runtime_s";
   }
 
 let record_point ~dir r =

@@ -51,3 +51,19 @@ let sweep_debris dir =
         if has_tmp_marker name then
           try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
       (Sys.readdir dir)
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755
+    with Sys_error _ when Sys.file_exists dir -> () (* a racing process won *)
+  end
+
+(* [lstat], not [stat]: a symlink is unlinked, never followed. *)
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()

@@ -21,3 +21,11 @@ val sweep_debris : string -> unit
     path lists its directory calls this on (re)open.  Removal races between
     concurrent openers degrade to a loud rename failure on the loser's
     in-flight write, never to corruption; missing directories are ignored. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents; one that exists already,
+    or that a racing process creates first, is fine. *)
+
+val rm_rf : string -> unit
+(** Remove a file or a directory tree; a missing path is fine.  A symlink
+    is removed itself, never followed. *)

@@ -52,7 +52,7 @@ let logf d fmt =
   if d.cfg.log then
     Printf.ksprintf
       (fun s ->
-        Printf.eprintf "[serve %.3f] %s\n%!" (Unix.gettimeofday () -. d.started) s)
+        Printf.eprintf "[serve %.3f] %s\n%!" (Parallel.Clock.now_s () -. d.started) s)
       fmt
   else Printf.ksprintf (fun _ -> ()) fmt
 
@@ -149,12 +149,12 @@ let approx_reply (s : Session.t) (report : Core.Flow.report) =
 
 let run_approx d (s : Session.t) (req : Protocol.request)
     (params : Protocol.approx_params) ~deadline =
-  let cancel () = d.stop || Unix.gettimeofday () > deadline in
+  let cancel () = d.stop || Parallel.Clock.now_s () > deadline in
   let config = flow_config params ~jobs:d.cfg.jobs in
   Session.record_inflight s req;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Parallel.Clock.now_s () in
   let finish_budget () =
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Parallel.Clock.now_s () -. t0 in
     s.Session.budget_s <- s.Session.budget_s +. dt;
     Session.save_manifest s;
     locked d (fun () ->
@@ -182,7 +182,7 @@ let run_approx d (s : Session.t) (req : Protocol.request)
       logf d "approx on %s timed out; rolled back" s.Session.name;
       err Protocol.Timeout
         (Printf.sprintf "deadline expired after %.1fs; session rolled back"
-           (Unix.gettimeofday () -. t0))
+           (Parallel.Clock.now_s () -. t0))
   | exception e ->
       finish_budget ();
       (* Contained failure: the session keeps its last committed circuit;
@@ -279,7 +279,7 @@ let status_reply d =
       let c = d.counters in
       let kvs =
         [
-          ("uptime-s", Printf.sprintf "%.3f" (Unix.gettimeofday () -. d.started));
+          ("uptime-s", Printf.sprintf "%.3f" (Parallel.Clock.now_s () -. d.started));
           ("sessions", string_of_int (Hashtbl.length d.sessions));
           ("queue-depth", string_of_int (Scheduler.depth d.sched));
           ("max-queue", string_of_int (Scheduler.max_queue d.sched));
@@ -361,7 +361,7 @@ let handle_request d (req : Protocol.request) =
         | None -> priority
       in
       let deadline =
-        Unix.gettimeofday ()
+        Parallel.Clock.now_s ()
         +. Option.value deadline_s ~default:d.cfg.default_deadline_s
       in
       (* At most one approx per session in flight: Busy beats queueing a
@@ -504,18 +504,8 @@ let resume_sessions d =
 
 (* ---------- Main ---------- *)
 
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Unix.mkdir d 0o755
-      with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go dir
-
 let run cfg =
-  mkdir_p cfg.state_dir;
+  Circuit_io.Atomic_file.mkdir_p cfg.state_dir;
   Parallel.Pool.with_pool ~jobs:(max 1 cfg.jobs) (fun pool ->
       let d =
         {
@@ -536,7 +526,7 @@ let run cfg =
               service_total_s = 0.0;
               service_n = 0;
             };
-          started = Unix.gettimeofday ();
+          started = Parallel.Clock.now_s ();
           stop = false;
         }
       in

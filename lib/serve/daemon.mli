@@ -1,8 +1,8 @@
 (** The [alsrac serve] daemon: a resident ALS service on a Unix-domain
     socket.
 
-    One process holds every session's parsed AIG, fanout CSR and simulation
-    state warm ({!Session}), so repeated requests skip the cold-start cost
+    One process holds every session's parsed AIG and simulation state
+    warm ({!Session}), so repeated requests skip the cold-start cost
     of a CLI invocation.  Robustness properties (see DESIGN.md §11):
 
     - {b Deadlines}: every [approx] runs under an absolute deadline,

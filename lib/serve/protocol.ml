@@ -1,3 +1,5 @@
+module Record = Circuit_io.Record
+
 type approx_params = {
   metric : Errest.Metrics.kind;
   threshold : float;
@@ -68,231 +70,108 @@ let valid_session_name s =
          | _ -> false)
        s
 
-(* Hex-float serialization so decode(encode f) = f bit-for-bit, matching the
-   journal's convention. *)
-let float_to_string f =
-  if f = infinity then "inf"
-  else if f = neg_infinity then "-inf"
-  else Printf.sprintf "%h" f
-
-let float_of_string_exn key s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> failwith (Printf.sprintf "protocol: bad float for %s: %S" key s)
-
-let int_of_string_exn key s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> failwith (Printf.sprintf "protocol: bad int for %s: %S" key s)
-
 (* ---------- Encoding ---------- *)
 
-let add_kv b k v =
-  Buffer.add_string b k;
-  Buffer.add_char b ' ';
-  Buffer.add_string b v;
-  Buffer.add_char b '\n'
-
-let add_graph b bytes =
-  Buffer.add_string b
-    (Printf.sprintf "graph %d %d\n" (String.length bytes)
-       (Transport.checksum bytes));
-  Buffer.add_string b bytes;
-  Buffer.add_char b '\n'
+(* The field [key] when the float [v] is set. *)
+let optional_float key v = Option.to_list (Option.map (fun v -> (key, Record.float_to_string v)) v)
 
 let encode_request req =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "alsrac-req 1\n";
-  (match req with
-  | Ping -> add_kv b "verb" "ping"
-  | Load { session; circuit; graph; priority } ->
-      add_kv b "verb" "load";
-      add_kv b "session" session;
-      add_kv b "circuit" circuit;
-      add_kv b "priority" (string_of_int priority);
-      Option.iter (add_graph b) graph
-  | Approx { session; params; deadline_s } ->
-      add_kv b "verb" "approx";
-      add_kv b "session" session;
-      add_kv b "metric" (Errest.Metrics.kind_to_string params.metric);
-      add_kv b "threshold" (float_to_string params.threshold);
-      add_kv b "seed" (string_of_int params.seed);
-      add_kv b "eval-rounds" (string_of_int params.eval_rounds);
-      add_kv b "max-iters" (string_of_int params.max_iters);
-      Option.iter (fun d -> add_kv b "deadline" (float_to_string d)) deadline_s
-  | Metrics { session; metric } ->
-      add_kv b "verb" "metrics";
-      add_kv b "session" session;
-      add_kv b "metric" (Errest.Metrics.kind_to_string metric)
-  | Cec { session } ->
-      add_kv b "verb" "cec";
-      add_kv b "session" session
-  | Get { session } ->
-      add_kv b "verb" "get";
-      add_kv b "session" session
-  | Status -> add_kv b "verb" "status"
-  | Evict { session } ->
-      add_kv b "verb" "evict";
-      add_kv b "session" session
-  | Shutdown -> add_kv b "verb" "shutdown");
-  Buffer.add_string b "end\n";
-  Buffer.contents b
+  let i = string_of_int and f = Record.float_to_string in
+  let session s = [ ("session", s) ] in
+  let verb, fields, graph =
+    match req with
+    | Ping -> ("ping", [], None)
+    | Load { session = s; circuit; graph; priority } ->
+        ("load", session s @ [ ("circuit", circuit); ("priority", i priority) ], graph)
+    | Approx { session = s; params = p; deadline_s } ->
+        ( "approx",
+          session s
+          @ [
+              ("metric", Errest.Metrics.kind_to_string p.metric);
+              ("threshold", f p.threshold);
+              ("seed", i p.seed);
+              ("eval-rounds", i p.eval_rounds);
+              ("max-iters", i p.max_iters);
+            ]
+          @ optional_float "deadline" deadline_s,
+          None )
+    | Metrics { session = s; metric } ->
+        ("metrics", session s @ [ ("metric", Errest.Metrics.kind_to_string metric) ], None)
+    | Cec { session = s } -> ("cec", session s, None)
+    | Get { session = s } -> ("get", session s, None)
+    | Status -> ("status", [], None)
+    | Evict { session = s } -> ("evict", session s, None)
+    | Shutdown -> ("shutdown", [], None)
+  in
+  Record.to_string ~header:"alsrac-req 1" ?graph ~graph_newline:true (("verb", verb) :: fields)
 
 let encode_response resp =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "alsrac-resp 1\n";
-  (match resp with
-  | Ok (kvs, graph) ->
-      add_kv b "status" "ok";
-      List.iter (fun (k, v) -> add_kv b k v) kvs;
-      Option.iter (add_graph b) graph
-  | Err { code; detail; retry_after_s } ->
-      add_kv b "status" "err";
-      add_kv b "code" (code_to_string code);
-      add_kv b "detail" (String.escaped detail);
-      Option.iter
-        (fun r -> add_kv b "retry-after" (float_to_string r))
-        retry_after_s);
-  Buffer.add_string b "end\n";
-  Buffer.contents b
+  let fields, graph =
+    match resp with
+    | Ok (kvs, graph) -> (("status", "ok") :: kvs, graph)
+    | Err { code; detail; retry_after_s } ->
+        ( [
+            ("status", "err");
+            ("code", code_to_string code);
+            ("detail", String.escaped detail);
+          ]
+          @ optional_float "retry-after" retry_after_s,
+          None )
+  in
+  Record.to_string ~header:"alsrac-resp 1" ?graph ~graph_newline:true fields
 
 (* ---------- Decoding ---------- *)
 
-type cursor = { s : string; mutable pos : int }
-
-let next_line c =
-  if c.pos >= String.length c.s then failwith "protocol: truncated payload";
-  match String.index_from_opt c.s c.pos '\n' with
-  | None ->
-      let l = String.sub c.s c.pos (String.length c.s - c.pos) in
-      c.pos <- String.length c.s;
-      l
-  | Some i ->
-      let l = String.sub c.s c.pos (i - c.pos) in
-      c.pos <- i + 1;
-      l
-
-let read_blob c n ck =
-  if n < 0 || n > String.length c.s - c.pos then
-    failwith "protocol: graph length out of bounds";
-  let bytes = String.sub c.s c.pos n in
-  c.pos <- c.pos + n;
-  if c.pos < String.length c.s && c.s.[c.pos] = '\n' then c.pos <- c.pos + 1;
-  if Transport.checksum bytes <> ck then
-    failwith "protocol: graph checksum mismatch";
-  bytes
-
-(* Parse the body shared by requests and responses: kv lines plus at most
-   one graph section, terminated by "end". *)
-let parse_body c =
-  let kvs = ref [] and graph = ref None and fini = ref false in
-  while not !fini do
-    let line = next_line c in
-    if line = "end" then fini := true
-    else
-      match String.index_opt line ' ' with
-      | None -> failwith (Printf.sprintf "protocol: bad line %S" line)
-      | Some i -> (
-          let key = String.sub line 0 i in
-          let value = String.sub line (i + 1) (String.length line - i - 1) in
-          match key with
-          | "graph" -> (
-              if !graph <> None then failwith "protocol: duplicate graph";
-              match String.split_on_char ' ' value with
-              | [ n; ck ] ->
-                  graph :=
-                    Some
-                      (read_blob c
-                         (int_of_string_exn "graph-len" n)
-                         (int_of_string_exn "graph-ck" ck))
-              | _ -> failwith "protocol: bad graph header")
-          | _ -> kvs := (key, value) :: !kvs)
-  done;
-  (List.rev !kvs, !graph)
-
-let find kvs key =
-  match List.assoc_opt key kvs with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "protocol: missing key %s" key)
-
-let find_opt kvs key = List.assoc_opt key kvs
-
-let session_of kvs =
-  let s = find kvs "session" in
-  if not (valid_session_name s) then
-    failwith (Printf.sprintf "protocol: invalid session name %S" s);
-  s
-
-let metric_of kvs =
-  let m = find kvs "metric" in
-  match Errest.Metrics.kind_of_string m with
-  | Some k -> k
-  | None -> failwith (Printf.sprintf "protocol: unknown metric %S" m)
-
 let decode_request payload =
-  let c = { s = payload; pos = 0 } in
-  (match next_line c with
-  | "alsrac-req 1" -> ()
-  | l -> failwith (Printf.sprintf "protocol: bad request header %S" l));
-  let kvs, graph = parse_body c in
-  match find kvs "verb" with
+  let r = Record.of_string ~format:"protocol request" ~header:"alsrac-req 1" payload in
+  let session () =
+    let s = Record.string r "session" in
+    if valid_session_name s then s else Record.fail r "invalid session name %S" s
+  in
+  let metric () = Record.get r "metric" Errest.Metrics.kind_of_string in
+  match Record.string r "verb" with
   | "ping" -> Ping
   | "load" ->
       Load
         {
-          session = session_of kvs;
-          circuit = find kvs "circuit";
-          graph;
-          priority = int_of_string_exn "priority" (find kvs "priority");
+          session = session ();
+          circuit = Record.string r "circuit";
+          graph = Record.graph r;
+          priority = Record.int r "priority";
         }
   | "approx" ->
       Approx
         {
-          session = session_of kvs;
+          session = session ();
           params =
             {
-              metric = metric_of kvs;
-              threshold = float_of_string_exn "threshold" (find kvs "threshold");
-              seed = int_of_string_exn "seed" (find kvs "seed");
-              eval_rounds =
-                int_of_string_exn "eval-rounds" (find kvs "eval-rounds");
-              max_iters = int_of_string_exn "max-iters" (find kvs "max-iters");
+              metric = metric ();
+              threshold = Record.float r "threshold";
+              seed = Record.int r "seed";
+              eval_rounds = Record.int r "eval-rounds";
+              max_iters = Record.int r "max-iters";
             };
-          deadline_s =
-            Option.map (float_of_string_exn "deadline")
-              (find_opt kvs "deadline");
+          deadline_s = Record.get_opt r "deadline" float_of_string_opt;
         }
-  | "metrics" -> Metrics { session = session_of kvs; metric = metric_of kvs }
-  | "cec" -> Cec { session = session_of kvs }
-  | "get" -> Get { session = session_of kvs }
+  | "metrics" -> Metrics { session = session (); metric = metric () }
+  | "cec" -> Cec { session = session () }
+  | "get" -> Get { session = session () }
   | "status" -> Status
-  | "evict" -> Evict { session = session_of kvs }
+  | "evict" -> Evict { session = session () }
   | "shutdown" -> Shutdown
-  | v -> failwith (Printf.sprintf "protocol: unknown verb %S" v)
+  | v -> Record.fail r "unknown verb %S" v
+
+let unescape s = try Some (Scanf.unescaped s) with Scanf.Scan_failure _ -> None
 
 let decode_response payload =
-  let c = { s = payload; pos = 0 } in
-  (match next_line c with
-  | "alsrac-resp 1" -> ()
-  | l -> failwith (Printf.sprintf "protocol: bad response header %S" l));
-  let kvs, graph = parse_body c in
-  match find kvs "status" with
-  | "ok" ->
-      let kvs = List.filter (fun (k, _) -> k <> "status") kvs in
-      Ok (kvs, graph)
+  let r = Record.of_string ~format:"protocol response" ~header:"alsrac-resp 1" payload in
+  match Record.string r "status" with
+  | "ok" -> Ok (List.filter (fun (k, _) -> k <> "status") (Record.fields r), Record.graph r)
   | "err" ->
-      let code =
-        match code_of_string (find kvs "code") with
-        | Some c -> c
-        | None -> failwith "protocol: unknown error code"
-      in
       Err
         {
-          code;
-          detail = Scanf.unescaped (find kvs "detail");
-          retry_after_s =
-            Option.map
-              (float_of_string_exn "retry-after")
-              (find_opt kvs "retry-after");
+          code = Record.get r "code" code_of_string;
+          detail = Record.get r "detail" unescape;
+          retry_after_s = Record.get_opt r "retry-after" float_of_string_opt;
         }
-  | s -> failwith (Printf.sprintf "protocol: bad status %S" s)
+  | s -> Record.fail r "bad status %S" s

@@ -1,19 +1,20 @@
 (** Request/response grammar of the [alsrac serve] protocol (version 1).
 
-    A payload (one transport frame) is line-oriented ASCII:
+    A payload (one transport frame) is a {!Circuit_io.Record}, the line
+    record the journal and the explore store also use:
 
     {v
-    request  ::= "alsrac-req 1" NL line* "end" NL?
-    response ::= "alsrac-resp 1" NL line* "end" NL?
-    line     ::= KEY " " VALUE NL
-               | "graph " NBYTES " " CHECKSUM NL RAWBYTES NL
+    request  ::= "alsrac-req 1" NL field* [graph] "end" NL?
+    response ::= "alsrac-resp 1" NL field* [graph] "end" NL?
+    field    ::= KEY " " VALUE NL
+    graph    ::= "graph " NBYTES " " CHECKSUM NL RAWBYTES NL
     v}
 
     Keys are single tokens; a value is the rest of its line.  Floats are
-    serialized as hex literals ([%h], with [inf]/[-inf]), so decode/encode
-    round-trips bit-exactly — the same convention the journal uses.  A
-    [graph] section carries an AIGER-serialized circuit as raw bytes,
-    length-prefixed and guarded by the transport checksum.
+    hex literals ({!Circuit_io.Record.float_to_string}), so decode/encode
+    round-trips bit-exactly.  A [graph] section carries an AIGER-serialized
+    circuit as raw bytes, length-prefixed and guarded by the checksum the
+    transport's frame trailer also uses.
 
     Decoding hostile input never allocates unbounded memory and raises
     [Failure] on any violation; the daemon maps that to a [Bad_request]

@@ -106,7 +106,7 @@ let submit t ~session ~priority ~budget ~deadline ~work =
       in
       t.seq <- t.seq + 1;
       let job =
-        { seq = t.seq; session; priority; enqueued = Unix.gettimeofday ();
+        { seq = t.seq; session; priority; enqueued = Parallel.Clock.now_s ();
           deadline; budget; work }
       in
       t.queue <- { job; ticket } :: t.queue;
@@ -127,7 +127,7 @@ let next t =
   Mutex.lock t.mutex;
   let rec loop () =
     (* Expire stale entries first so they never run. *)
-    let now = Unix.gettimeofday () in
+    let now = Parallel.Clock.now_s () in
     let expired, live =
       List.partition (fun e -> e.job.deadline < now) t.queue
     in

@@ -21,7 +21,7 @@ type job = {
   session : string;
   priority : int;
   enqueued : float;
-  deadline : float;  (** absolute; [infinity] = none *)
+  deadline : float;  (** absolute, on {!Parallel.Clock.now_s}; [infinity] = none *)
   budget : float;  (** owning session's consumed budget at enqueue *)
   work : unit -> Protocol.response;
 }

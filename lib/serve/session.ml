@@ -1,9 +1,10 @@
+module Record = Circuit_io.Record
+
 type t = {
   name : string;
   dir : string;
   circuit : string;
   original : Aig.Graph.t;
-  fanout : Aig.Fanout.t;
   eval_pats : Logic.Bitvec.t array;
   golden : Logic.Bitvec.t array;
   mutable current : Aig.Graph.t;
@@ -21,24 +22,6 @@ let eval_seed = 7
 
 let ( // ) = Filename.concat
 
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Unix.mkdir d 0o755
-      with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go dir
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (path // e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
 (* Evaluation sample: exhaustive when that is at most [eval_rounds]
    patterns, Monte-Carlo otherwise — the resident analogue of
    [Errest.Metrics.evaluate]. *)
@@ -54,19 +37,15 @@ let current_path dir = dir // "current.aag"
 let inflight_path dir = dir // "inflight"
 let journal_dir t = t.dir // "journal"
 
-let float_to_string f =
-  if f = infinity then "inf"
-  else if f = neg_infinity then "-inf"
-  else Printf.sprintf "%h" f
+let manifest_header = "alsrac-session 1"
+let manifest_keys = [ "circuit"; "priority"; "applied"; "budget" ]
 
 let save_manifest t =
-  let b = Buffer.create 128 in
-  Printf.bprintf b "alsrac-session 1\n";
-  Printf.bprintf b "circuit %s\n" t.circuit;
-  Printf.bprintf b "priority %d\n" t.priority;
-  Printf.bprintf b "applied %d\n" t.applied_total;
-  Printf.bprintf b "budget %s\n" (float_to_string t.budget_s);
-  Circuit_io.Atomic_file.write (manifest_path t.dir) (Buffer.contents b)
+  Circuit_io.Atomic_file.write (manifest_path t.dir)
+    (Record.to_string ~header:manifest_header ~end_marker:false
+       (List.combine manifest_keys
+          [ t.circuit; string_of_int t.priority; string_of_int t.applied_total;
+            Record.float_to_string t.budget_s ]))
 
 let warm ~name ~dir ~circuit ~original ~current ~priority ~budget_s
     ~applied_total =
@@ -76,13 +55,12 @@ let warm ~name ~dir ~circuit ~original ~current ~priority ~budget_s
     dir;
     circuit;
     original;
-    fanout = Aig.Fanout.build original;
     eval_pats;
     golden = Sim.Engine.simulate_pos original eval_pats;
     current;
     revision = 0;
     priority;
-    last_used = Unix.gettimeofday ();
+    last_used = Parallel.Clock.now_s ();
     budget_s;
     applied_total;
     busy = false;
@@ -91,14 +69,14 @@ let warm ~name ~dir ~circuit ~original ~current ~priority ~budget_s
 
 let create ~state_dir ~name ~circuit ~graph ~priority =
   let dir = state_dir // name in
-  rm_rf dir;
-  mkdir_p dir;
+  Circuit_io.Atomic_file.rm_rf dir;
+  Circuit_io.Atomic_file.mkdir_p dir;
   Circuit_io.Atomic_file.write (original_path dir)
     (Circuit_io.Aiger.graph_to_string graph);
   let t =
     (* [current] starts as a cheap blit-level clone so no later in-place
        mutation of the working graph can reach the pristine [original] the
-       golden signatures and the CSR handle were built from. *)
+       golden signatures were built from. *)
     warm ~name ~dir ~circuit ~original:graph ~current:(Aig.Graph.clone graph)
       ~priority ~budget_s:0.0 ~applied_total:0
   in
@@ -106,29 +84,15 @@ let create ~state_dir ~name ~circuit ~graph ~priority =
   t
 
 let parse_manifest path =
-  let contents = Circuit_io.Atomic_file.read path in
-  let circuit = ref "-" and priority = ref 0 in
-  let applied = ref 0 and budget = ref 0.0 in
-  let lines = String.split_on_char '\n' contents in
-  (match lines with
-  | "alsrac-session 1" :: _ -> ()
-  | _ -> failwith (Printf.sprintf "session: bad manifest %s" path));
-  List.iteri
-    (fun i line ->
-      if i > 0 && line <> "" then
-        match String.index_opt line ' ' with
-        | None -> failwith (Printf.sprintf "session: bad manifest line %S" line)
-        | Some j -> (
-            let key = String.sub line 0 j in
-            let v = String.sub line (j + 1) (String.length line - j - 1) in
-            match key with
-            | "circuit" -> circuit := v
-            | "priority" -> priority := int_of_string v
-            | "applied" -> applied := int_of_string v
-            | "budget" -> budget := float_of_string v
-            | _ -> failwith (Printf.sprintf "session: unknown manifest key %s" key)))
-    lines;
-  (!circuit, !priority, !applied, !budget)
+  let r =
+    Record.of_string ~format:"session manifest" ~header:manifest_header ~end_marker:false
+      (Circuit_io.Atomic_file.read path)
+  in
+  List.iter
+    (fun (k, _) -> if not (List.mem k manifest_keys) then Record.fail r "unknown key %S" k)
+    (Record.fields r);
+  (Record.string r "circuit", Record.int r "priority", Record.int r "applied",
+   Record.float r "budget")
 
 let load_dir ~state_dir ~name =
   let dir = state_dir // name in
@@ -213,24 +177,17 @@ let metric t kind =
       t.metric_cache <- (kind, t.revision, v) :: t.metric_cache;
       v
 
-let touch t = t.last_used <- Unix.gettimeofday ()
+let touch t = t.last_used <- Parallel.Clock.now_s ()
 
 let resident_bytes t =
   let graph g = 24 * Aig.Graph.num_nodes g in
-  let csr =
-    8
-    * (Array.length (Aig.Fanout.offsets t.fanout)
-      + Array.length (Aig.Fanout.targets t.fanout)
-      + Array.length (Aig.Fanout.po_offsets t.fanout)
-      + Array.length (Aig.Fanout.po_targets t.fanout))
-  in
   let sigs =
     let rounds = ref 0 in
     if Array.length t.eval_pats > 0 then
       rounds := Logic.Bitvec.length t.eval_pats.(0);
     8 * ((!rounds / 62) + 1) * (Array.length t.eval_pats + Array.length t.golden)
   in
-  graph t.original + graph t.current + csr + sigs
+  graph t.original + graph t.current + sigs
 
 let info t =
   [
@@ -245,4 +202,4 @@ let info t =
     ("busy", string_of_bool t.busy);
   ]
 
-let destroy t = rm_rf t.dir
+let destroy t = Circuit_io.Atomic_file.rm_rf t.dir

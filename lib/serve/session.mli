@@ -1,7 +1,7 @@
 (** Resident, crash-resumable daemon sessions.
 
     A session keeps everything expensive warm across requests: the parsed
-    original AIG, its fanout CSR, a fixed evaluation pattern set with the
+    original AIG, a fixed evaluation pattern set with the
     golden PO signatures already simulated, and the current approximate
     circuit with a per-revision metrics cache.  A warm metric re-simulates
     only the approximate side (and only when the circuit changed since the
@@ -29,13 +29,12 @@ type t = {
   dir : string;
   circuit : string;  (** name given at load time (["-"] for shipped AIGER) *)
   original : Aig.Graph.t;
-  fanout : Aig.Fanout.t;  (** CSR of [original], kept resident *)
   eval_pats : Logic.Bitvec.t array;  (** fixed evaluation pattern set *)
   golden : Logic.Bitvec.t array;  (** PO signatures of [original] on it *)
   mutable current : Aig.Graph.t;
   mutable revision : int;  (** bumped on every [set_current] *)
   mutable priority : int;
-  mutable last_used : float;  (** [Unix.gettimeofday] of last touch *)
+  mutable last_used : float;  (** [Parallel.Clock.now_s] of the last touch *)
   mutable budget_s : float;  (** executor seconds consumed by this session *)
   mutable applied_total : int;  (** accepted LACs across all approx runs *)
   mutable busy : bool;  (** an approx is queued or running *)
@@ -88,7 +87,7 @@ val metric : t -> Errest.Metrics.kind -> float
 
 val touch : t -> unit
 val resident_bytes : t -> int
-(** Rough resident footprint (graphs + CSR + signatures), for watermarks. *)
+(** Rough resident footprint (graphs + signatures), for watermarks. *)
 
 val save_manifest : t -> unit
 val info : t -> (string * string) list

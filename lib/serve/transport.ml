@@ -6,13 +6,6 @@ let magic = "ALS1"
 let header_bytes = 8
 let max_frame_bytes = 1 lsl 26
 
-(* Same 31-bit rolling checksum as the journal: cheap, and torn frames are
-   what we defend against, not adversarial collisions. *)
-let checksum s =
-  let h = ref 0 in
-  String.iter (fun ch -> h := ((!h * 131) + Char.code ch) land 0x3FFFFFFF) s;
-  !h
-
 let put_be32 b off v =
   Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
   Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
@@ -88,7 +81,7 @@ let send ?(faults = []) ?(nth = 0) fd payload =
   Bytes.blit_string magic 0 header 0 4;
   put_be32 header 4 len;
   let trailer = Bytes.create 4 in
-  put_be32 trailer 0 (checksum payload);
+  put_be32 trailer 0 (Circuit_io.Record.checksum payload);
   if Core.Fault.io_eof_mid_frame faults ~nth then begin
     (* Injected peer death: ship the header and half the payload, then bail
        out.  The caller closes the socket; the receiver must classify the
@@ -106,7 +99,7 @@ let send ?(faults = []) ?(nth = 0) fd payload =
 let read_exact fd buf off len ~deadline ~mid_frame =
   let off = ref off and left = ref len in
   while !left > 0 do
-    let remaining = deadline -. Unix.gettimeofday () in
+    let remaining = deadline -. Parallel.Clock.now_s () in
     if remaining <= 0.0 then raise Timeout;
     (match Unix.select [ fd ] [] [] remaining with
     | [], _, _ -> raise Timeout
@@ -121,7 +114,7 @@ let read_exact fd buf off len ~deadline ~mid_frame =
   done
 
 let recv ?(faults = []) ?(nth = 0) ?(timeout_s = 30.0) fd =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Parallel.Clock.now_s () +. timeout_s in
   let header = Bytes.create header_bytes in
   let got = ref 0 in
   (* EOF before any header byte is a clean close; EOF after is a torn
@@ -151,5 +144,5 @@ let recv ?(faults = []) ?(nth = 0) ?(timeout_s = 30.0) fd =
   let trailer = Bytes.create 4 in
   read_exact fd trailer 0 4 ~deadline ~mid_frame:(fun () -> true);
   let body = Bytes.to_string payload in
-  if get_be32 trailer 0 <> checksum body then raise (Malformed "checksum mismatch");
+  if get_be32 trailer 0 <> Circuit_io.Record.checksum body then raise (Malformed "checksum mismatch");
   body

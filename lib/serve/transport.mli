@@ -6,7 +6,7 @@
     "ALS1"  magic, 4 bytes
     length  payload byte count, 4 bytes big-endian
     payload
-    check   31-bit payload checksum, 4 bytes big-endian
+    check   payload checksum (Circuit_io.Record.checksum), 4 bytes big-endian
     v}
 
     The decoder is hostile-input-hardened: the magic must match, the length
@@ -36,10 +36,6 @@ exception Malformed of string
 val max_frame_bytes : int
 (** Upper bound on a payload (64 MiB); larger length fields are rejected
     without allocating. *)
-
-val checksum : string -> int
-(** The 31-bit frame checksum, exposed so the protocol layer can guard
-    embedded binary sections with the same function. *)
 
 val listen : path:string -> Unix.file_descr
 (** Bind and listen on a Unix-domain socket, unlinking a stale socket file

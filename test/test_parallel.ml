@@ -305,10 +305,25 @@ let test_kill_resume_across_jobs () =
     (r_full.Core.Flow.events = r_res.Core.Flow.events);
   check "identical PO behaviour" true (Util.equivalent a_full a_res)
 
+(* The clock is monotonic and fine-grained: successive readings never
+   decrease, and the smallest step between two differing readings is far
+   below the ~0.24 us quantum of a float count of seconds since 1970. *)
+let test_clock () =
+  let n = 100_000 in
+  let reads = Array.init n (fun _ -> Parallel.Clock.now_ns ()) in
+  let min_step = ref Int64.max_int in
+  for i = 1 to n - 1 do
+    let d = Int64.sub reads.(i) reads.(i - 1) in
+    if Int64.compare d 0L < 0 then Alcotest.failf "clock went back by %Ld ns" d;
+    if Int64.compare d 0L > 0 && Int64.compare d !min_step < 0 then min_step := d
+  done;
+  check "smallest positive step under 200 ns" true (Int64.compare !min_step 200L < 0)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "parallel"
     [
+      ("clock", [ tc "monotonic, sub-200 ns steps" `Quick test_clock ]);
       ( "pool",
         [
           tc "async/await basics" `Quick test_pool_basics;

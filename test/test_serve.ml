@@ -256,7 +256,7 @@ let test_scheduler_expired_in_queue () =
   let t_stale =
     match
       Serve.Scheduler.submit s ~session:"stale" ~priority:9 ~budget:0.0
-        ~deadline:(Unix.gettimeofday () -. 1.0)
+        ~deadline:(Parallel.Clock.now_s () -. 1.0)
         ~work:(fun () -> Alcotest.fail "expired job ran")
     with
     | `Queued t -> t
@@ -550,7 +550,16 @@ let test_daemon_busy_approx () =
         Serve.Client.close c)
       ()
   in
-  Thread.delay 0.4;
+  (* The second approx must arrive while the first holds the session, and
+     the first takes well under a second on a fast machine: wait until the
+     daemon reports the session busy (for up to 5 s) instead of sleeping a
+     fixed 0.4 s. *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec claimed () =
+    Util.contains (status_field conn "session") "busy=true"
+    || (Unix.gettimeofday () < deadline && (Thread.delay 0.01; claimed ()))
+  in
+  check "first approx claimed the session" true (claimed ());
   (match
      Serve.Client.approx conn ~session:"s1"
        ~params:(approx_params ~threshold:0.05) ()
