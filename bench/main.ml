@@ -430,7 +430,7 @@ let pool_bench () =
               (if ok then "" else "  DETERMINISM MISMATCH");
             if jobs = 4 then
               Printf.printf "%-34s %5s %s\n" "" ""
-                (Errest.Observability.pool_summary (Parallel.Pool.stats pool))))
+                (Parallel.Pool.summary (Parallel.Pool.stats pool))))
       [ 1; 2; 4; 8 ]
   in
   report

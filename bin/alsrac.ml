@@ -126,6 +126,21 @@ let parse_distr spec =
     | Ok d -> Ok d
     | Error e -> Error (`Msg (Printf.sprintf "--distr %s: %s" spec e))
 
+(* [eval] and [cec] compare two circuits input by input and output by
+   output, so their interfaces must agree. *)
+let check_interfaces a_spec a b_spec b =
+  if Aig.Graph.num_pis a <> Aig.Graph.num_pis b then
+    Error
+      (`Msg
+         (Printf.sprintf "PI count mismatch: %s has %d, %s has %d" a_spec
+            (Aig.Graph.num_pis a) b_spec (Aig.Graph.num_pis b)))
+  else if Aig.Graph.num_pos a <> Aig.Graph.num_pos b then
+    Error
+      (`Msg
+         (Printf.sprintf "PO count mismatch: %s has %d, %s has %d" a_spec
+            (Aig.Graph.num_pos a) b_spec (Aig.Graph.num_pos b)))
+  else Ok ()
+
 let check_distr_npis distr g =
   match Errest.Distr.validate_npis distr ~npis:(Aig.Graph.num_pis g) with
   | Ok () -> Ok ()
@@ -157,6 +172,7 @@ let eval_cmd original approx metric sample distr =
   let* distr = parse_distr distr in
   let* g0 = load original in
   let* g1 = load approx in
+  let* () = check_interfaces original g0 approx g1 in
   let* () = check_distr_npis distr g0 in
   let e = measure_under distr metric ~original:g0 ~approx:g1 ~sample in
   Printf.printf "%s = %s\n"
@@ -297,9 +313,9 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
         Option.iter print_resub_stats r.Core.Flow.resub;
         if Array.length r.Core.Flow.pool > 1 then begin
           Printf.printf "parallel: %s (wall %.1fs, cpu %.1fs)\n"
-            (Errest.Observability.pool_summary r.Core.Flow.pool)
+            (Parallel.Pool.summary r.Core.Flow.pool)
             r.Core.Flow.wall_s r.Core.Flow.runtime_s;
-          Format.printf "%a@." Errest.Observability.pp_pool_stats r.Core.Flow.pool
+          Format.printf "%a@." Parallel.Pool.pp_stats r.Core.Flow.pool
         end;
         Ok a
     | "sasimi" | "su" ->
@@ -361,19 +377,7 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
 let cec_cmd a_spec b_spec seed rounds effort =
   let* a = load a_spec in
   let* b = load b_spec in
-  let* () =
-    if Aig.Graph.num_pis a <> Aig.Graph.num_pis b then
-      Error
-        (`Msg
-           (Printf.sprintf "PI count mismatch: %s has %d, %s has %d" a_spec
-              (Aig.Graph.num_pis a) b_spec (Aig.Graph.num_pis b)))
-    else if Aig.Graph.num_pos a <> Aig.Graph.num_pos b then
-      Error
-        (`Msg
-           (Printf.sprintf "PO count mismatch: %s has %d, %s has %d" a_spec
-              (Aig.Graph.num_pos a) b_spec (Aig.Graph.num_pos b)))
-    else Ok ()
-  in
+  let* () = check_interfaces a_spec a b_spec b in
   match Verify.Cec.run ~seed ~rounds ~effort a b with
   | Verify.Cec.Equivalent ->
       Printf.printf "equivalent\n";
@@ -635,8 +639,6 @@ let exits_of_result = function
   | Error (`Msg m) ->
       prerr_endline ("alsrac: " ^ m);
       1
-
-let wrap f = Term.(const (fun x -> exits_of_result (f x)))
 
 let list_term = Term.(const (fun () -> exits_of_result (list_cmd ())) $ const ())
 let list_cmd' = Cmd.v (Cmd.info "list" ~doc:"List the built-in benchmark suite") list_term
@@ -924,7 +926,6 @@ let default =
   Term.(ret (const (`Help (`Pager, None))))
 
 let () =
-  ignore wrap;
   let info =
     Cmd.info "alsrac" ~version:"1.0.0"
       ~doc:"Approximate logic synthesis by resubstitution with approximate care sets"

@@ -12,17 +12,6 @@ let tfi_mask g id =
   mark id;
   mask
 
-let tfi_nodes g id =
-  let mask = tfi_mask g id in
-  let lev = Topo.levels g in
-  (* Bucket by level (counting sort): levels are small and dense. *)
-  let max_level = Array.fold_left max 0 lev in
-  let buckets = Array.make (max_level + 1) [] in
-  for i = Graph.num_nodes g - 1 downto 1 do
-    if mask.(i) && i <> id then buckets.(lev.(i)) <- i :: buckets.(lev.(i))
-  done;
-  List.concat (Array.to_list buckets)
-
 let tfo_mask g id =
   let n = Graph.num_nodes g in
   let mask = Array.make n false in

@@ -4,10 +4,6 @@ val tfi_mask : Graph.t -> int -> bool array
 (** [tfi_mask g id]: per node, membership in the TFI cone of [id] (the node
     itself included, per the paper's Section II terminology). *)
 
-val tfi_nodes : Graph.t -> int -> int list
-(** AND and PI nodes of the TFI cone of [id], excluding [id] itself, sorted
-    by ascending logic level (the divisor-candidate order of Algorithm 1). *)
-
 val tfo_mask : Graph.t -> int -> bool array
 (** Per node, membership in the transitive fanout cone of [id] (the node
     itself included). *)

@@ -3,11 +3,6 @@ type t = { leaves : int array; sign : int }
 let signature leaves =
   Array.fold_left (fun acc id -> acc lor (1 lsl (id mod 62))) 0 leaves
 
-let of_leaves leaves =
-  let leaves = Array.copy leaves in
-  Array.sort compare leaves;
-  { leaves; sign = signature leaves }
-
 let trivial id = { leaves = [| id |]; sign = signature [| id |] }
 
 let size c = Array.length c.leaves

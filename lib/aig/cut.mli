@@ -9,9 +9,6 @@ type t = private {
   sign : int;  (** subset-check signature *)
 }
 
-val of_leaves : int array -> t
-(** Builds a cut from a (possibly unsorted) array of node ids. *)
-
 val trivial : int -> t
 (** The unit cut [{n}]. *)
 

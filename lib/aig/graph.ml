@@ -8,7 +8,6 @@ let node_of l = l lsr 1
 let is_compl l = l land 1 = 1
 let lit_not l = l lxor 1
 let lit_not_cond l c = if c then l lxor 1 else l
-let lit_regular l = l land lnot 1
 
 (* Fanin sentinel distinguishing PIs from ANDs. *)
 let pi_sentinel = -1
@@ -440,64 +439,6 @@ let clone g =
        either side mutates (which bumps its own [rev] and recomputes). *)
     cached_views = g.cached_views;
   }
-
-type snapshot = {
-  s_name : string;
-  s_fanin0 : int array; (* nnodes entries *)
-  s_fanin1 : int array;
-  s_pi_pos : int array;
-  s_nnodes : int;
-  s_pis : int array; (* npis entries *)
-  s_pi_names : string array;
-  s_pos : int array; (* npos entries *)
-  s_po_names : string array;
-  s_strash : int array;
-  s_strash_mask : int;
-  s_strash_used : int;
-}
-
-let snapshot g =
-  {
-    s_name = g.graph_name;
-    s_fanin0 = Array.sub g.fanin0 0 g.nnodes;
-    s_fanin1 = Array.sub g.fanin1 0 g.nnodes;
-    s_pi_pos = Array.sub g.pi_pos 0 g.nnodes;
-    s_nnodes = g.nnodes;
-    s_pis = Array.sub g.pis 0 g.npis;
-    s_pi_names = Array.sub g.pi_names 0 g.npis;
-    s_pos = Array.sub g.pos 0 g.npos;
-    s_po_names = Array.sub g.po_names 0 g.npos;
-    s_strash = Array.copy g.strash;
-    s_strash_mask = g.strash_mask;
-    s_strash_used = g.strash_used;
-  }
-
-let restore g s =
-  if s.s_nnodes > g.cap then grow_nodes g s.s_nnodes;
-  Array.blit s.s_fanin0 0 g.fanin0 0 s.s_nnodes;
-  Array.blit s.s_fanin1 0 g.fanin1 0 s.s_nnodes;
-  Array.blit s.s_pi_pos 0 g.pi_pos 0 s.s_nnodes;
-  g.nnodes <- s.s_nnodes;
-  let npis = Array.length s.s_pis in
-  grow_pis g npis;
-  Array.blit s.s_pis 0 g.pis 0 npis;
-  Array.blit s.s_pi_names 0 g.pi_names 0 npis;
-  g.npis <- npis;
-  let npos = Array.length s.s_pos in
-  grow_pos g npos;
-  Array.blit s.s_pos 0 g.pos 0 npos;
-  Array.blit s.s_po_names 0 g.po_names 0 npos;
-  g.npos <- npos;
-  if Array.length g.strash = Array.length s.s_strash then
-    Array.blit s.s_strash 0 g.strash 0 (Array.length s.s_strash)
-  else g.strash <- Array.copy s.s_strash;
-  g.strash_mask <- s.s_strash_mask;
-  g.strash_used <- s.s_strash_used;
-  g.graph_name <- s.s_name;
-  (* Monotonic: never reuse a revision, so any derived structure built
-     between [snapshot] and [restore] is correctly seen as stale. *)
-  g.rev <- g.rev + 1;
-  g.cached_views <- None
 
 (* ---------- Restructuring ---------- *)
 

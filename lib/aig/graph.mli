@@ -15,9 +15,8 @@
     [set_po]); all restructuring transforms go through {!rebuild}, which
     walks an old graph from its outputs and produces a fresh graph — dead
     logic vanishes and acyclicity holds by construction.  A {!rebuilder}
-    arena makes that path allocation-free at steady state, and
-    {!clone}/{!snapshot} copy whole graphs by array blits with no strash
-    re-insertion. *)
+    arena makes that path allocation-free at steady state, and {!clone}
+    copies a whole graph by array blits with no strash re-insertion. *)
 
 type t
 
@@ -36,8 +35,6 @@ val node_of : lit -> int
 val is_compl : lit -> bool
 val lit_not : lit -> lit
 val lit_not_cond : lit -> bool -> lit
-val lit_regular : lit -> lit
-(** Strip the complement bit. *)
 
 (** {1 Construction} *)
 
@@ -59,10 +56,6 @@ val add_po : ?name:string -> t -> lit -> int
 
 val set_po : t -> int -> lit -> unit
 
-val reserve : t -> int -> unit
-(** [reserve g n] pre-sizes the node arrays and the strash table for a graph
-    of [n] nodes, so construction up to that size never reallocates. *)
-
 val trim : t -> unit
 (** Shrink [g] in place to what it holds: node, PI and PO arrays of exactly
     its size, a strash of the smallest power of two [>= 2 * (num_nodes g +
@@ -76,8 +69,8 @@ val num_nodes : t -> int
 (** Including the constant node and the PIs. *)
 
 val revision : t -> int
-(** Structural mutation counter: bumped by every node/PO append, [set_po]
-    and {!restore}.  Derived structures (e.g. {!Fanout.t}) record the
+(** Structural mutation counter: bumped by every node/PO append and
+    [set_po].  Derived structures (e.g. {!Fanout.t}) record the
     revision they were built at and treat a mismatch as staleness. *)
 
 val num_pis : t -> int
@@ -151,7 +144,7 @@ val depth : t -> int
 
 (** {1 Whole-graph copies}
 
-    Both are plain array blits: the strash table is copied verbatim, never
+    A plain array blit: the strash table is copied verbatim, never
     re-inserted, so copying is O(size) with a tiny constant and is safe to
     use per-candidate (guard/rollback) or per-worker (parallel sweeps). *)
 
@@ -159,16 +152,6 @@ val clone : t -> t
 (** An independent graph with identical contents (same node ids, names,
     strash state).  The derived-view bundle is shared until either side
     mutates — views are immutable per revision, so this is safe. *)
-
-type snapshot
-(** An immutable copy of a graph's whole structural state. *)
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> unit
-(** Roll the graph back to the snapshotted state in place.  Bumps the
-    revision (monotonically — derived structures built after the snapshot
-    can never falsely match the restored state). *)
 
 (** {1 Restructuring} *)
 

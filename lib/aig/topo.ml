@@ -9,20 +9,3 @@ let levels g = Graph.levels g
 let depth g = Graph.depth g
 
 let fanout_counts g = Graph.ref_counts g
-
-let node_count_in_use g =
-  let n = Graph.num_nodes g in
-  let reachable = Array.make n false in
-  let rec mark id =
-    if not reachable.(id) then begin
-      reachable.(id) <- true;
-      if Graph.is_and g id then begin
-        mark (Graph.node_of (Graph.fanin0 g id));
-        mark (Graph.node_of (Graph.fanin1 g id))
-      end
-    end
-  in
-  Graph.iter_pos g (fun _ l -> mark (Graph.node_of l));
-  let count = ref 0 in
-  Graph.iter_ands g (fun id -> if reachable.(id) then incr count);
-  !count

@@ -16,6 +16,3 @@ val depth : Graph.t -> int
 val fanout_counts : Graph.t -> int array
 (** Per node id: number of fanout references (AND fanins + PO drivers).
     Cached, read-only. *)
-
-val node_count_in_use : Graph.t -> int
-(** Number of AND nodes reachable from the POs. *)

@@ -36,7 +36,7 @@ let run ~config g0 =
   let original = Graph.compact g0 in
   let npis = Graph.num_pis original in
   let eval_pats =
-    if npis <= Sim.Patterns.exhaustive_limit && 1 lsl npis <= config.eval_rounds then
+    if Sim.Patterns.fits_exhaustive ~npis ~rounds:config.eval_rounds then
       Sim.Patterns.exhaustive ~npis
     else Sim.Patterns.random (Logic.Rng.split rng) ~npis ~len:config.eval_rounds
   in

@@ -1,59 +1,12 @@
 module Graph = Aig.Graph
 module Bitvec = Logic.Bitvec
 
-let fanin_nodes g v =
-  let n0 = Graph.node_of (Graph.fanin0 g v) in
-  let n1 = Graph.node_of (Graph.fanin1 g v) in
-  if n0 = n1 then [ n0 ] else [ n0; n1 ]
-
-let normalize set =
-  let arr = Array.of_list set in
-  Array.sort compare arr;
-  arr
-
-(* ---------- Exact int-keyed set dedup ----------
-
-   Divisor sets are short sorted int arrays.  They are deduplicated through
-   an int-keyed hash table (FNV over the elements) whose buckets hold the
-   sets themselves for exact comparison — the same collision discipline as
-   [Sim.Fraig]'s signature classes, with none of the polymorphic-[Hashtbl]
-   hashing of arrays the old implementation leaned on. *)
-
-let set_hash arr =
-  let h = ref (Array.length arr) in
-  Array.iter (fun i -> h := ((!h * 0x01000193) lxor (i + 1)) land max_int) arr;
-  !h
-
-let same_set a b =
-  Array.length a = Array.length b
-  &&
-  let eq = ref true in
-  Array.iteri (fun i x -> if x <> b.(i) then eq := false) a;
-  !eq
-
-let dedup_create () : (int, int array list ref) Hashtbl.t = Hashtbl.create 64
-
-let dedup_add seen arr =
-  let h = set_hash arr in
-  match Hashtbl.find_opt seen h with
-  | None ->
-      Hashtbl.add seen h (ref [ arr ]);
-      true
-  | Some bucket ->
-      if List.exists (same_set arr) !bucket then false
-      else begin
-        bucket := arr :: !bucket;
-        true
-      end
-
 (* ---------- Nearest-first TFI enumeration ----------
 
-   [Cone.tfi_nodes] lists the cone in ASCENDING level order, so truncating
-   it at [max_tfi] kept the PIs and dropped exactly the nodes structurally
-   closest to the target — the divisors most likely to admit a small
-   resubstitution function.  Enumerate nearest-first instead: descending
-   level, ascending id within a level, straight off the cached SoA level
-   view, and cap AFTER ordering so the near cone always survives. *)
+   Descending level, ascending id within a level, straight off the cached
+   SoA level view, capped AFTER ordering: the nodes structurally closest to
+   the target are the divisors most likely to admit a small
+   resubstitution function, so a cap must never drop them. *)
 
 let tfi_candidates g ~max_tfi v =
   if not (Graph.is_and g v) then []
@@ -77,55 +30,6 @@ let tfi_candidates g ~max_tfi v =
      with Exit -> ());
     List.rev !out
   end
-
-let iter_sets g ~max_tfi v f =
-  if not (Graph.is_and g v) then ()
-  else begin
-    let fis = fanin_nodes g v in
-    let tfi = tfi_candidates g ~max_tfi v in
-    let seen = dedup_create () in
-    let exception Stop in
-    let emit set =
-      let arr = normalize set in
-      if dedup_add seen arr then
-        match f arr with `Stop -> raise Stop | `Continue -> ()
-    in
-    try
-      List.iter
-        (fun n ->
-          let a = List.filter (fun x -> x <> n) fis in
-          emit a;
-          List.iter (fun u -> if u <> v && not (List.mem u a) then emit (u :: a)) tfi)
-        fis
-    with Stop -> ()
-  end
-
-(* AND nodes of the target's MFFC that actually die when the target is
-   replaced by a function of [divisors]: a divisor inside the MFFC keeps
-   itself and its in-MFFC transitive fanin alive.  [in_mffc] is the node's
-   membership table.  The tests' reference for the walk's keys below. *)
-let true_savings g ~in_mffc ~mffc_size divisors =
-  (* Fast path: divisors outside the MFFC keep nothing alive. *)
-  if Array.for_all (fun d -> not (Hashtbl.mem in_mffc d)) divisors then mffc_size
-  else begin
-    let kept = Hashtbl.create 8 in
-    let rec keep id =
-      if Hashtbl.mem in_mffc id && not (Hashtbl.mem kept id) then begin
-        Hashtbl.replace kept id ();
-        keep (Graph.node_of (Graph.fanin0 g id));
-        keep (Graph.node_of (Graph.fanin1 g id))
-      end
-    in
-    Array.iter keep divisors;
-    mffc_size - Hashtbl.length kept
-  end
-
-let select g ~max_tfi v =
-  let acc = ref [] in
-  iter_sets g ~max_tfi v (fun set ->
-      acc := set :: !acc;
-      `Continue);
-  List.rev !acc
 
 (* ---------- Ranked lazy walk ----------
 
@@ -178,12 +82,15 @@ let iter_ranked t f =
     done
   with Stop -> ()
 
-(* [true_savings] by popcount.  It is the MFFC size [m] minus the size of
-   the union of the divisors' in-MFFC fanin closures, so with one closure
-   bitset per MFFC node every set's savings is a popcount, and a divisor
-   outside the MFFC changes nothing.  Returns [m], [local] (a node's
-   position in the MFFC, -1 outside) and [savings] of a set of at most three
-   divisors given by their positions (-1 outside the MFFC or absent). *)
+(* A set's savings, by popcount: the AND nodes of the target's MFFC that
+   die when the target is replaced by a function of the set (a divisor
+   inside the MFFC keeps itself and its in-MFFC fanin alive).  It is the
+   MFFC size [m] minus the size of the union of the divisors' in-MFFC fanin
+   closures, so with one closure bitset per MFFC node every set's savings
+   is a popcount, and a divisor outside the MFFC changes nothing.  Returns
+   [m], [local] (a node's position in the MFFC, -1 outside) and [savings]
+   of a set of at most three divisors given by their positions (-1 outside
+   the MFFC or absent). *)
 let closure_savings g mffc =
   let members = Array.of_list mffc in
   Array.sort compare members;
@@ -232,7 +139,7 @@ let closure_savings g mffc =
   (m, local, savings)
 
 (* Folding in [Graph.and_] gives every AND two distinct non-constant fanins
-   [f0 < f1], so the sets of [iter_sets] are block 0 = {f1}, {u, f1} for u
+   [f0 < f1], so the LAC sets are block 0 = {f1}, {u, f1} for u
    in the TFI list, then block 1 = {f0}, {u, f0}; the only duplicate is
    {f0, f1}, emitted in block 0 when [f0] survived the [max_tfi] cap and in
    block 1 otherwise.  Adding a divisor never raises the savings, so block

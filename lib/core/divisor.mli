@@ -5,51 +5,25 @@
     ascending node id within a level.  A divisor close to the target is the
     one most likely to admit a small resubstitution function, so when a cap
     truncates the enumeration it is the deep, remote part of the cone that
-    is dropped — never the near divisors.  (The previous implementation
-    truncated [Cone.tfi_nodes]'s ascending-level order, silently discarding
-    exactly the near divisors on any node whose TFI exceeded the cap.)
-    Duplicate sets are suppressed by an int-keyed hash with exact
-    collision resolution, never by polymorphic hashing of arrays. *)
+    is dropped — never the near divisors.
+
+    The eager forms of the walk below (every set, then a stable sort by
+    savings) live in the test suite as the reference it is checked
+    against. *)
 
 val tfi_candidates : Aig.Graph.t -> max_tfi:int -> int -> int list
 (** TFI nodes of the target (target excluded), nearest-first, at most
     [max_tfi] of them.  Empty on non-AND targets. *)
 
-val iter_sets :
-  Aig.Graph.t ->
-  max_tfi:int ->
-  int ->
-  (int array -> [ `Stop | `Continue ]) ->
-  unit
-(** [iter_sets g ~max_tfi v f] calls [f] on each divisor set (array of node
-    ids, sorted) until [f] answers [`Stop] or the sets are exhausted.  For a
-    target with fanin set [FI], the sets are: each [FI \ {n}] (drop one
-    fanin), then each [(FI \ {n}) + {u}] for every [u] of
-    {!tfi_candidates} — at most [max_tfi] TFI nodes, nearest-first. *)
-
-val select : Aig.Graph.t -> max_tfi:int -> int -> int array list
-(** Eager version: all sets in enumeration order.  The reference that
-    tests hold {!lac_blocks} against; no production path calls it. *)
-
-val true_savings :
-  Aig.Graph.t ->
-  in_mffc:(int, unit) Hashtbl.t ->
-  mffc_size:int ->
-  int array ->
-  int
-(** AND nodes of the target's MFFC that actually die when the target is
-    replaced by a function of the divisors: a divisor inside the MFFC keeps
-    itself and its in-MFFC transitive fanin alive.  [in_mffc] maps the
-    MFFC's node ids (from {!Aig.Cone.mffc}), built once per target.  The
-    reference that tests hold the walk's keys against; no production path
-    calls it. *)
-
 (** {1 Ranked lazy walk}
 
     One walk serves both resubstitution engines.  A target's divisor sets
     come in blocks, in enumeration order; every set has an integer key and
-    every block an upper bound on its keys.  Keys come from per-MFFC-node
-    closure bitsets (a popcount per set, equal to {!true_savings}). *)
+    every block an upper bound on its keys.  Keys are built from a set's
+    {e savings}: the AND nodes of the target's MFFC that die when the
+    target is replaced by a function of the set.  A divisor inside the
+    MFFC keeps itself and its in-MFFC transitive fanin alive, so savings
+    come from per-MFFC-node closure bitsets, a popcount per set. *)
 
 type blocks
 (** A target's divisor sets, grouped into keyed blocks. *)
@@ -62,8 +36,11 @@ val iter_ranked : blocks -> (key:int -> int array -> [ `Stop | `Continue ]) -> u
     and enumeration ends when [f] stops it. *)
 
 val lac_blocks : Aig.Graph.t -> max_tfi:int -> mffc:int list -> int -> blocks
-(** LAC sets: the sets of {!iter_sets} in two blocks (one per kept fanin),
-    keyed by {!true_savings}.  [mffc] is the target's MFFC
+(** LAC sets, keyed by savings.  For a target with fanin set [FI], the
+    sets are each [FI \ {n}] (drop one fanin), then each
+    [(FI \ {n}) + {u}] for every [u] of {!tfi_candidates} (at most
+    [max_tfi] TFI nodes, nearest-first), duplicates dropped, in two blocks
+    (one per kept fanin).  [mffc] is the target's MFFC
     ({!Aig.Cone.mffc}). *)
 
 val resub_blocks :
@@ -72,9 +49,10 @@ val resub_blocks :
     divisor list [divs] (nearest-first, from {!collect}): every triple of
     the first [triples] divisors, then every pair of the first [pairs],
     then every divisor alone, each block in lexicographic position order,
-    keyed by {!true_savings} − (k − 1) for a k-set.  With divisors [[10; 20; 30; 40]] and caps 3/3 the enumeration
-    is [10,20,30] [10,20] [10,30] [20,30] [10] [20] [30] [40], so at equal
-    key a triple comes first.  A set lists its divisors in [divs] order. *)
+    keyed by savings − (k − 1) for a k-set.  With divisors
+    [[10; 20; 30; 40]] and caps 3/3 the enumeration is [10,20,30] [10,20]
+    [10,30] [20,30] [10] [20] [30] [40], so at equal key a triple comes
+    first.  A set lists its divisors in [divs] order. *)
 
 val collect :
   Aig.Graph.t ->

@@ -46,17 +46,6 @@ let io_delay_write plan ~nth =
 
 (* ---------- Plan spec strings (--fault-spec) ---------- *)
 
-let kind_to_string = function
-  | Flip_signatures f -> Printf.sprintf "flip-sigs@%d:%d" f.iteration f.bit
-  | Corrupt_lac f -> Printf.sprintf "corrupt-lac@%d" f.iteration
-  | Raise_at f -> Printf.sprintf "raise@%d" f.iteration
-  | Kill_after f -> Printf.sprintf "kill@%d" f.applied
-  | Io_short_read f -> Printf.sprintf "short-read@%d" f.nth
-  | Io_eof_mid_frame f -> Printf.sprintf "eof-mid-frame@%d" f.nth
-  | Io_delay_write f -> Printf.sprintf "delay-write@%d:%d" f.nth f.ms
-
-let plan_to_string plan = String.concat "," (List.map kind_to_string plan)
-
 let kind_of_string s =
   let bad () = failwith (Printf.sprintf "fault spec: cannot parse %S" s) in
   let int_exn v = match int_of_string_opt v with Some n -> n | None -> bad () in
@@ -92,29 +81,3 @@ let plan_of_string s =
   |> List.filter_map (fun part ->
          let part = String.trim part in
          if part = "" then None else Some (kind_of_string part))
-
-(* ---------- File corruption (for journal-recovery tests) ---------- *)
-
-let truncate_file path ~keep =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let keep = max 0 (min keep len) in
-  let contents = really_input_string ic keep in
-  close_in ic;
-  (* Deliberately NOT atomic: the whole point is to fabricate the torn file
-     an atomic writer never produces. *)
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
-let corrupt_byte path ~pos =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let contents = Bytes.of_string (really_input_string ic len) in
-  close_in ic;
-  if len = 0 then failwith "Fault.corrupt_byte: empty file";
-  let pos = pos mod len in
-  Bytes.set contents pos (Char.chr (Char.code (Bytes.get contents pos) lxor 0x2a));
-  let oc = open_out_bin path in
-  output_bytes oc contents;
-  close_out oc

@@ -75,18 +75,3 @@ val io_delay_write : plan -> nth:int -> int option
 
 val plan_of_string : string -> plan
 (** Raises [Failure] on an unparseable spec. *)
-
-val plan_to_string : plan -> string
-(** Inverse of {!plan_of_string}. *)
-
-(** {1 File corruption helpers}
-
-    For journal-recovery tests: fabricate the torn or bit-rotted files that
-    the atomic writer itself can never produce. *)
-
-val truncate_file : string -> keep:int -> unit
-(** Truncate a file in place to its first [keep] bytes (clamped). *)
-
-val corrupt_byte : string -> pos:int -> unit
-(** XOR one byte of the file at offset [pos mod size].  Fails on an empty
-    file. *)

@@ -89,8 +89,7 @@ let gen_patterns rng (config : Config.t) ~npis ~len =
 let eval_patterns rng (config : Config.t) npis =
   if
     config.input_probs = None
-    && npis <= Sim.Patterns.exhaustive_limit
-    && 1 lsl npis <= config.eval_rounds
+    && Sim.Patterns.fits_exhaustive ~npis ~rounds:config.eval_rounds
   then Sim.Patterns.exhaustive ~npis
   else gen_patterns rng config ~npis ~len:config.eval_rounds
 
@@ -606,8 +605,7 @@ let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
         end
         else if
           config.input_probs = None
-          && npis <= Sim.Patterns.exhaustive_limit
-          && 1 lsl npis <= config.eval_rounds
+          && Sim.Patterns.fits_exhaustive ~npis ~rounds:config.eval_rounds
         then Some { upper = final_err; family = Exhaustive }
         else if Errest.Metrics.bounded_mean config.metric then
           Some

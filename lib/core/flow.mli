@@ -128,8 +128,7 @@ type report = {
   resumed : bool;  (** this report continues a journaled run *)
   pool : Parallel.Pool.stat array;
       (** per-worker execution counters of the run's pool (tasks, steals,
-          busy/idle time); render with
-          {!Errest.Observability.pp_pool_stats} *)
+          busy/idle time); render with {!Parallel.Pool.pp_stats} *)
   scoring : Errest.Batch.stats;
       (** cumulative counters of the event-driven scoring kernel
           ({!Errest.Batch.stats}): candidates the kernel scored,

@@ -33,7 +33,8 @@ val attempt :
     [node] at the divisors ({!Care.scan}, [mask] as there); if the scan
     returns a table, {!derive} the cover and return it with its factored
     form and the net gain [savings - Logic.Factor.and2_cost expr], where
-    [savings] is the set's {!Divisor.true_savings}.  [None] when the scan
+    [savings] is the set's MFFC savings (the key {!Divisor.lac_blocks}
+    and {!Divisor.resub_blocks} give it).  [None] when the scan
     finds a conflict, which it reports at the first conflicting word, so
     an infeasible set costs no derivation and usually one word of
     scanning. *)

@@ -93,9 +93,7 @@ let sweep ?pool (cfg : config) ~rng g =
   (* Exhaustive patterns when the input space fits: the care table is then
      exact, so every feasible candidate is a true resubstitution and the
      CEC check can only confirm. *)
-  let exhaustive =
-    npis <= Sim.Patterns.exhaustive_limit && 1 lsl npis <= max cfg.rounds 1024
-  in
+  let exhaustive = Sim.Patterns.fits_exhaustive ~npis ~rounds:(max cfg.rounds 1024) in
   let pats =
     if exhaustive then Sim.Patterns.exhaustive ~npis
     else Sim.Patterns.random rng ~npis ~len:cfg.rounds
@@ -304,5 +302,3 @@ let run ?pool ?(config = default) g0 =
      results would otherwise keep every graph's growth slack alive. *)
   Graph.trim !g;
   (!g, !stats)
-
-let pass ?pool ?config () g = fst (run ?pool ?config g)

@@ -74,7 +74,3 @@ val run :
     count, and has the same PI/PO interface.  It is trimmed
     ({!Aig.Graph.trim}), so a caller keeping many results keeps no growth
     slack.  The input is not modified. *)
-
-val pass : ?pool:Parallel.Pool.t -> ?config:config -> unit -> Aig.Graph.t -> Aig.Graph.t
-(** [pass () ] is {!run} with the stats dropped — the shape
-    {!Aig.Resyn.compress2}'s [?resub] hook expects. *)

@@ -89,8 +89,6 @@ type t = {
   mutable changed_po : int array;
   mutable n_changed_po : int;
   changed_words_buf : int array;
-  (* Reused PO materialization buffers ({!candidate_pos}). *)
-  mutable po_bufs : Bitvec.t option array;
   counters : counters;
 }
 
@@ -132,7 +130,6 @@ let create ?weights g ~metric ~golden ~base =
     changed_po = Array.make (max 1 (Graph.num_pos g)) 0;
     n_changed_po = 0;
     changed_words_buf = Array.make (max 1 nwords) 0;
-    po_bufs = Array.make (Graph.num_pos g) None;
     counters = fresh_counters ();
   }
 
@@ -153,8 +150,7 @@ let refresh t =
     let npos = Graph.num_pos t.g in
     if Array.length t.po_stamp <> npos then begin
       t.po_stamp <- Array.make npos 0;
-      t.changed_po <- Array.make (max 1 npos) 0;
-      t.po_bufs <- Array.make npos None
+      t.changed_po <- Array.make (max 1 npos) 0
     end
   end
 
@@ -388,41 +384,6 @@ let candidate_error t ~node ~new_sig =
     end
   end
 
-let candidate_pos t ~node ~new_sig =
-  refresh t;
-  if Bitvec.length new_sig <> t.len then
-    invalid_arg "Batch.candidate_pos: signature length mismatch";
-  if Bitvec.equal new_sig t.base.(node) then begin
-    (* Invalidate stamps so the materialization below reads pure base. *)
-    t.gen <- t.gen + 1;
-    t.n_changed_po <- 0
-  end
-  else ignore (propagate t ~node ~new_sig : int);
-  Array.init (Graph.num_pos t.g) (fun i ->
-      let l = Graph.po_lit t.g i in
-      let d = Graph.node_of l in
-      let dst =
-        match t.po_bufs.(i) with
-        | Some v when Bitvec.length v = t.len -> v
-        | _ ->
-            let v = Bitvec.create t.len in
-            t.po_bufs.(i) <- Some v;
-            v
-      in
-      (* Stamped scratch holds only the live words; everything else is the
-         base value. *)
-      Bitvec.blit t.base.(d) dst;
-      if t.stamps.(d) = t.gen then begin
-        let dw = Bitvec.unsafe_words dst
-        and sw = Bitvec.unsafe_words (Option.get t.bufs.(d)) in
-        for k = 0 to t.n_live - 1 do
-          let w = t.live_words.(k) in
-          dw.(w) <- sw.(w)
-        done
-      end;
-      if Graph.is_compl l then Bitvec.lognot_into dst dst;
-      dst)
-
 let stats t =
   let c = t.counters in
   {
@@ -455,7 +416,6 @@ let clone_scratch t =
     changed_po = Array.make (Array.length t.changed_po) 0;
     n_changed_po = 0;
     changed_words_buf = Array.make (Array.length t.changed_words_buf) 0;
-    po_bufs = Array.make (Array.length t.po_bufs) None;
     counters = fresh_counters ();
   }
 

@@ -40,12 +40,6 @@ val candidate_error : t -> node:int -> new_sig:Logic.Bitvec.t -> float
     [new_sig].  If the signature equals the base one, this is
     [base_error]. *)
 
-val candidate_pos : t -> node:int -> new_sig:Logic.Bitvec.t -> Logic.Bitvec.t array
-(** PO signatures under the override (for callers needing more than the
-    scalar error).  The returned vectors live in scratch buffers owned by
-    [t] and are only valid until the next [candidate_*] call on [t]; copy
-    them if they must outlive it. *)
-
 val candidate_errors :
   ?pool:Parallel.Pool.t -> t -> (int * Logic.Bitvec.t) array -> float array
 (** [candidate_errors t specs] is [candidate_error] over an array of

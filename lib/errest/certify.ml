@@ -16,7 +16,3 @@ let upper_bound ~sampled ~samples ~confidence =
 let certified_le ~sampled ~samples ~confidence ~threshold =
   upper_bound ~sampled ~samples ~confidence <= threshold
 
-let samples_needed ~margin ~confidence =
-  if margin <= 0.0 then invalid_arg "Certify: margin must be positive";
-  check_confidence confidence;
-  int_of_float (ceil (log (1.0 /. (1.0 -. confidence)) /. (2.0 *. margin *. margin)))

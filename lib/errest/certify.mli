@@ -30,6 +30,3 @@ val upper_bound : sampled:float -> samples:int -> confidence:float -> float
 val certified_le :
   sampled:float -> samples:int -> confidence:float -> threshold:float -> bool
 (** Does the sample certify [true error <= threshold] at this confidence? *)
-
-val samples_needed : margin:float -> confidence:float -> int
-(** Minimum sample count for a given margin at a given confidence. *)

@@ -33,7 +33,6 @@ let enum ~rows ~weights =
 
 let is_enum = function Unif -> false | Enum _ -> true
 let npis = function Unif -> None | Enum { npis; _ } -> Some npis
-let num_rows = function Unif -> 0 | Enum { rows; _ } -> Array.length rows
 
 let equal a b =
   match (a, b) with

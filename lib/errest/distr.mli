@@ -27,9 +27,6 @@ val is_enum : t -> bool
 val npis : t -> int option
 (** Pattern width; [None] for [Unif] (which fits any circuit). *)
 
-val num_rows : t -> int
-(** Number of enumerated patterns; [0] for [Unif]. *)
-
 val equal : t -> t -> bool
 (** Structural, with [Float.equal] on weights. *)
 

@@ -33,18 +33,6 @@ let rat_gt (a, b) (c, d) =
   (* a/b > c/d  with  b, d > 0 *)
   compare (mul_wide a d) (mul_wide c b) > 0
 
-(* ---------- Structural copy (the Cec miter idiom) ---------- *)
-
-let copy_into g pis src =
-  let map = Array.make (Graph.num_nodes src) Graph.const0 in
-  for i = 0 to Graph.num_pis src - 1 do
-    map.(Graph.pi_node src i) <- pis.(i)
-  done;
-  let lit l = Graph.lit_not_cond map.(Graph.node_of l) (Graph.is_compl l) in
-  Graph.iter_ands src (fun id ->
-      map.(id) <- Graph.and_ g (lit (Graph.fanin0 src id)) (lit (Graph.fanin1 src id)));
-  Array.init (Graph.num_pos src) (fun o -> lit (Graph.po_lit src o))
-
 (* ---------- Word-level pieces of the error computation ---------- *)
 
 let num_bits n =
@@ -106,7 +94,8 @@ let golden_or_one g gw =
 let violation kind ~original ~approx ~num ~den =
   let g = Graph.create ~name:"maxerr-miter" () in
   let pis = Array.init (Graph.num_pis original) (fun _ -> Graph.add_pi g) in
-  let gw = copy_into g pis original and aw = copy_into g pis approx in
+  let gw = Verify.Cec.copy_into g pis original
+  and aw = Verify.Cec.copy_into g pis approx in
   let v =
     match (kind : Metrics.kind) with
     | Maxed -> gt_const g (abs_diff g gw aw) num
@@ -135,26 +124,10 @@ let const_false_reference ~npis =
 (* ---------- Witness evaluation (direct, non-word-parallel) ---------- *)
 
 let eval_value g inputs =
-  let values = Array.make (Graph.num_nodes g) None in
-  let rec node id =
-    match values.(id) with
-    | Some v -> v
-    | None ->
-        let v =
-          if Graph.is_const id then false
-          else if Graph.is_pi g id then inputs.(Graph.pi_index g id)
-          else
-            let lit l = node (Graph.node_of l) <> Graph.is_compl l in
-            lit (Graph.fanin0 g id) && lit (Graph.fanin1 g id)
-        in
-        values.(id) <- Some v;
-        v
-  in
   let value = ref 0 in
-  for o = 0 to Graph.num_pos g - 1 do
-    let l = Graph.po_lit g o in
-    if node (Graph.node_of l) <> Graph.is_compl l then value := !value lor (1 lsl o)
-  done;
+  Array.iteri
+    (fun o b -> if b then value := !value lor (1 lsl o))
+    (Verify.Cec.eval_graph g inputs);
   !value
 
 let round_rational kind ~g ~a =
@@ -236,9 +209,3 @@ let certified_le ?seed ?rounds ?effort ?max_refinements kind ~original ~approx
   match certify ?seed ?rounds ?effort ?max_refinements kind ~original ~approx with
   | Exact { max; _ } -> Ok (max <= threshold)
   | Undecided msg -> Error msg
-
-let outcome_to_string = function
-  | Exact { max; num; den; refinements } ->
-      if den = 1 then Printf.sprintf "exact max %d (%d refinements)" num refinements
-      else Printf.sprintf "exact max %d/%d = %g (%d refinements)" num den max refinements
-  | Undecided msg -> "undecided: " ^ msg

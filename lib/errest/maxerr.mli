@@ -77,5 +77,3 @@ val violation :
     is true exactly where the error of [approx] strictly exceeds
     [num / den].  Exposed for the oracle tests, which enumerate all [2^n]
     inputs against it. *)
-
-val outcome_to_string : outcome -> string

@@ -135,16 +135,6 @@ let mred ~golden ~approx =
     (fun g a -> float_of_int (abs (g - a)) /. float_of_int (max g 1))
     ~golden ~approx
 
-let worst_case_ed ~golden ~approx =
-  check_shapes golden approx;
-  if num_rounds golden = 0 then 0
-  else begin
-    let gv = output_values golden and av = output_values approx in
-    let worst = ref 0 in
-    Array.iteri (fun m g -> worst := max !worst (abs (g - av.(m)))) gv;
-    !worst
-  end
-
 (* ---------- Per-round term families ----------
 
    Every value-decoded metric is [aggregate over rounds of
@@ -292,10 +282,6 @@ let measure ?weights kind ~golden ~approx =
 let mse ~golden ~approx = measure Mse ~golden ~approx
 let mhd ~golden ~approx = measure Mhd ~golden ~approx
 let nmhd ~golden ~approx = measure Nmhd ~golden ~approx
-let max_ed ~golden ~approx = measure Maxed ~golden ~approx
-let max_hd ~golden ~approx = measure Maxhd ~golden ~approx
-let max_red ~golden ~approx = measure Maxred ~golden ~approx
-
 (* ---------- Incremental measurement ----------
 
    Per-word base state so a candidate pays only for the words its change
@@ -436,7 +422,7 @@ let compare_graphs ?weights kind ~original ~approx patterns =
 let evaluate ?(seed = 20260705) ?(sample = 1 lsl 17) kind ~original ~approx =
   let npis = Aig.Graph.num_pis original in
   let patterns =
-    if npis <= Sim.Patterns.exhaustive_limit && 1 lsl npis <= sample then
+    if Sim.Patterns.fits_exhaustive ~npis ~rounds:sample then
       Sim.Patterns.exhaustive ~npis
     else Sim.Patterns.random (Logic.Rng.create seed) ~npis ~len:sample
   in

@@ -54,10 +54,6 @@ val mse : golden:Logic.Bitvec.t array -> approx:Logic.Bitvec.t array -> float
 val mhd : golden:Logic.Bitvec.t array -> approx:Logic.Bitvec.t array -> float
 val nmhd : golden:Logic.Bitvec.t array -> approx:Logic.Bitvec.t array -> float
 
-val max_ed : golden:Logic.Bitvec.t array -> approx:Logic.Bitvec.t array -> float
-val max_hd : golden:Logic.Bitvec.t array -> approx:Logic.Bitvec.t array -> float
-val max_red : golden:Logic.Bitvec.t array -> approx:Logic.Bitvec.t array -> float
-
 val measure :
   ?weights:float array ->
   kind ->
@@ -139,10 +135,6 @@ val measure_incremental :
     the listed POs only and flip the base values at the bits that differ,
     so they cost O(changed words * (62 + flipped bits)). *)
 
-val worst_case_ed : golden:Logic.Bitvec.t array -> approx:Logic.Bitvec.t array -> int
-(** Largest absolute error distance over the sampled rounds, as an exact
-    integer ([max_ed] is its float counterpart used by the flow). *)
-
 val output_values : Logic.Bitvec.t array -> int array
 (** Decode PO signatures into one unsigned integer per simulation round. *)
 
@@ -164,7 +156,7 @@ val evaluate :
   approx:Aig.Graph.t ->
   float
 (** Final-quality measurement under the uniform distribution: exhaustive
-    when the PI count allows (at most {!Sim.Patterns.exhaustive_limit}
-    inputs, and at most [sample] rounds), Monte-Carlo with [sample] rounds
+    when every input fits in [sample] rounds
+    ({!Sim.Patterns.fits_exhaustive}), Monte-Carlo with [sample] rounds
     otherwise.  Default [sample] is [2^17]; the paper uses [10^7] rounds,
     see DESIGN.md §2.7. *)

@@ -7,21 +7,7 @@
     both directions (parallel paths may cancel a flagged flip, or jointly
     propagate an unflagged one).  This is the change-propagation half of Su
     et al.'s estimator family and serves as a cheap ranking signal; the
-    authoritative answer is {!Sim.Engine.resimulate_tfo} as used by
-    {!Batch}. *)
+    authoritative answer is {!Batch}'s resimulation of the node's
+    transitive fanout. *)
 
 val masks : Aig.Graph.t -> sigs:Logic.Bitvec.t array -> Logic.Bitvec.t array
-
-(** {1 Execution observability}
-
-    Rendering of the worker-pool counters carried in flow reports: per
-    worker, tasks executed, steals, and busy/idle wall time.  Signal-level
-    observability (the masks above) and execution-level observability are
-    deliberately reported through the same module. *)
-
-val pp_pool_stats : Format.formatter -> Parallel.Pool.stat array -> unit
-(** Multi-line, one worker per line. *)
-
-val pool_summary : Parallel.Pool.stat array -> string
-(** One-line aggregate: worker count, total tasks/steals, total busy
-    seconds. *)

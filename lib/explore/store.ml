@@ -168,8 +168,6 @@ let completed ~dir ~total = Array.init total (fun i -> read_point ~dir i)
 
 (* ---------- fronts ---------- *)
 
-let front_sections = [ "lut-area"; "lut-depth"; "cell-area"; "cell-delay" ]
-
 let tag_of_budget b = Printf.sprintf "b%h" b
 
 let fronts_of_results ~bench ~metric results =

@@ -87,16 +87,6 @@ val read_point : dir:string -> int -> result option
 val completed : dir:string -> total:int -> result option array
 (** Slot [i] holds point [i]'s result if its file exists and parses. *)
 
-val front_sections : string list
-(** The four cost dimensions of every per-benchmark front file:
-    ["lut-area"; "lut-depth"; "cell-area"; "cell-delay"]. *)
-
-val fronts_of_results :
-  bench:string -> metric:Errest.Metrics.kind -> result list -> (string * Front.t) list
-(** One front per {!front_sections} entry, built from the matching
-    results: error coordinate [est_error], cost the section's measure,
-    tag [b<budget>].  Exposed for tests. *)
-
 val front_path : string -> bench:string -> metric:Errest.Metrics.kind -> string
 val corpus_front_path : string -> metric:Errest.Metrics.kind -> string
 

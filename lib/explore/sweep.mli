@@ -40,10 +40,6 @@ type item = {
   budget : float;
 }
 
-val work_list : Store.manifest -> item array
-(** The canonical order: per ladder (manifest order), per benchmark
-    (manifest order), per budget (ascending). *)
-
 type progress = {
   manifest : Store.manifest;  (** the effective (possibly resumed) one *)
   total : int;  (** corpus-wide points *)

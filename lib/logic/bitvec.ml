@@ -130,27 +130,10 @@ let inplace2 f dst src =
 
 let logand_inplace dst src = inplace2 ( land ) dst src
 let logor_inplace dst src = inplace2 ( lor ) dst src
-let logxor_inplace dst src = inplace2 ( lxor ) dst src
 
 let blit src dst =
   check_lengths dst src;
   Array.blit src.words 0 dst.words 0 (Array.length src.words)
-
-(* Fused three-address kernels: no temporaries, one pass per call. *)
-
-let xor_into dst a b =
-  check_lengths dst a;
-  check_lengths dst b;
-  for i = 0 to Array.length dst.words - 1 do
-    dst.words.(i) <- a.words.(i) lxor b.words.(i)
-  done
-
-let lognot_into dst src =
-  check_lengths dst src;
-  for i = 0 to Array.length dst.words - 1 do
-    dst.words.(i) <- lnot src.words.(i) land word_mask
-  done;
-  mask_tail dst
 
 (* SWAR popcount adapted to 62 significant bits (the two spare top bits are
    always zero, so the 64-bit constants stay valid). *)

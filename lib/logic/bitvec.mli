@@ -65,20 +65,8 @@ val logand_inplace : t -> t -> unit
 (** [logand_inplace dst src] stores [dst AND src] in [dst]; similarly below. *)
 
 val logor_inplace : t -> t -> unit
-val logxor_inplace : t -> t -> unit
 val blit : t -> t -> unit
 (** [blit src dst] copies [src] into [dst]. *)
-
-(** {1 Fused kernels}
-
-    Three-address, single-pass, no temporaries — for inner scoring loops. *)
-
-val xor_into : t -> t -> t -> unit
-(** [xor_into dst a b] stores [a XOR b] in [dst] ([dst] may alias [a] or
-    [b]). *)
-
-val lognot_into : t -> t -> unit
-(** [lognot_into dst src] stores [NOT src] in [dst] (tail bits kept zero). *)
 
 val popcount_xor : t -> t -> int
 (** [popcount_xor a b] is [popcount (logxor a b)] without materializing the
@@ -95,9 +83,6 @@ val is_ones : t -> bool
 
 val iter_set : t -> (int -> unit) -> unit
 (** Apply the callback to the index of every set bit, in increasing order. *)
-
-val randomize : Rng.t -> t -> unit
-(** Fill with uniform random bits. *)
 
 val random : Rng.t -> int -> t
 (** Fresh uniformly random vector of the given length. *)

@@ -23,19 +23,6 @@ let to_truth t =
     (fun acc c -> Truth.bor acc (Cube.to_truth t.nvars c))
     (Truth.const0 t.nvars) t.cubes
 
-let of_minterms nvars ms =
-  { nvars; cubes = List.map (Cube.of_minterm nvars) ms }
-
-let remove_subsumed t =
-  let rec keep acc = function
-    | [] -> List.rev acc
-    | c :: rest ->
-        let subsumed_by other = (not (Cube.equal other c)) && Cube.subsumes other c in
-        if List.exists subsumed_by rest || List.exists subsumed_by acc then keep acc rest
-        else keep (c :: acc) rest
-  in
-  { t with cubes = keep [] t.cubes }
-
 let covers t f = Truth.is_const0 (Truth.bdiff f (to_truth t))
 
 let within t f = Truth.is_const0 (Truth.bdiff (to_truth t) f)
@@ -55,8 +42,6 @@ let eval_sigs t ~pos_sigs =
           Bitvec.logor_inplace acc tmp)
         t.cubes;
       acc
-
-let eval_minterm t m = List.exists (fun c -> Cube.contains_minterm c m) t.cubes
 
 let to_pla_rows t = List.map (fun c -> Cube.to_string t.nvars c ^ " 1") t.cubes
 

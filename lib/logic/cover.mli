@@ -15,11 +15,6 @@ val num_lits : t -> int
 
 val to_truth : t -> Truth.t
 
-val of_minterms : int -> int list -> t
-
-val remove_subsumed : t -> t
-(** Drop every cube contained in another single cube of the cover. *)
-
 val covers : t -> Truth.t -> bool
 (** [covers c f]: does the cover contain all of [f]'s ON-set? *)
 
@@ -28,8 +23,6 @@ val within : t -> Truth.t -> bool
 
 val eval_sigs : t -> pos_sigs:Bitvec.t array -> Bitvec.t
 (** Word-parallel evaluation over per-variable signature vectors. *)
-
-val eval_minterm : t -> int -> bool
 
 val to_pla_rows : t -> string list
 (** One ["1-0 1"]-style row per cube (output column always 1). *)

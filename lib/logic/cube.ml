@@ -47,13 +47,7 @@ let compare a b =
   let c = Stdlib.compare a.pos b.pos in
   if c <> 0 then c else Stdlib.compare a.neg b.neg
 
-let contains_minterm c m = m land c.pos = c.pos && lnot m land c.neg = c.neg
-
 let subsumes a b = a.pos land b.pos = a.pos && a.neg land b.neg = a.neg
-
-let intersect a b =
-  if a.pos land b.neg <> 0 || a.neg land b.pos <> 0 then None
-  else Some { pos = a.pos lor b.pos; neg = a.neg lor b.neg }
 
 (* Word-parallel: AND of the literal projections, O(lits x words) instead of
    a per-minterm loop. *)
@@ -65,13 +59,6 @@ let to_truth n c =
     else if c.neg land bit <> 0 then t := Truth.band !t (Truth.bnot (Truth.var n v))
   done;
   !t
-
-let of_minterm n m =
-  if n > 30 then invalid_arg "Cube.of_minterm: too many variables";
-  let all = (1 lsl n) - 1 in
-  { pos = m land all; neg = lnot m land all }
-
-let supercube_of_minterm n = of_minterm n 0
 
 let supercube a b = { pos = a.pos land b.pos; neg = a.neg land b.neg }
 

@@ -35,25 +35,12 @@ val vars_mask : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val contains_minterm : t -> int -> bool
-(** Is the minterm (bit [i] = value of var [i]) inside the cube? *)
-
 val subsumes : t -> t -> bool
 (** [subsumes a b] iff every minterm of [b] is a minterm of [a], i.e. [a]'s
     literals are a subset of [b]'s. *)
 
-val intersect : t -> t -> t option
-(** Cube intersection, [None] if empty. *)
-
 val to_truth : int -> t -> Truth.t
 (** Characteristic function over [n] variables. *)
-
-val supercube_of_minterm : int -> t
-(** The cube containing exactly one minterm of [n] variables is built with
-    {!of_minterm}; kept for symmetry. *)
-
-val of_minterm : int -> int -> t
-(** [of_minterm n m]: the full-literal cube equal to minterm [m]. *)
 
 val supercube : t -> t -> t
 (** Smallest cube containing both. *)

@@ -111,7 +111,3 @@ let minimize ~on ~dc =
   assert (Cover.covers result on);
   assert (Cover.within result (Truth.bor on dc));
   result
-
-let minimize_cover cover ~dc =
-  let f = Cover.to_truth cover in
-  minimize ~on:(Truth.bdiff f dc) ~dc

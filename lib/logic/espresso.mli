@@ -10,9 +10,5 @@ val minimize : on:Truth.t -> dc:Truth.t -> Cover.t
 (** Returns a cover [f] with [on <= f <= on + dc].  Raises
     [Invalid_argument] if the sets overlap or differ in width. *)
 
-val minimize_cover : Cover.t -> dc:Truth.t -> Cover.t
-(** Minimize an existing cover against a DC set (ON-set taken as the cover's
-    function minus DC). *)
-
 val cost : Cover.t -> int * int
 (** [(num_cubes, num_lits)] — the comparison key used by the loop. *)

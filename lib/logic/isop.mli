@@ -7,6 +7,3 @@
 val compute : on:Truth.t -> dc:Truth.t -> Cover.t
 (** Raises [Invalid_argument] if the tables disagree on variable count or if
     [on] and [dc] overlap. *)
-
-val compute_interval : lower:Truth.t -> upper:Truth.t -> Cover.t
-(** Same with explicit interval bounds, [lower <= upper]. *)

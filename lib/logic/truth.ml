@@ -97,18 +97,6 @@ let is_const0 t = Array.for_all (fun w -> w = 0L) t.words
 
 let is_const1 t = equal t (const1 t.nvars)
 
-let popcount64 w =
-  let w = Int64.sub w (Int64.logand (Int64.shift_right_logical w 1) 0x5555555555555555L) in
-  let w =
-    Int64.add
-      (Int64.logand w 0x3333333333333333L)
-      (Int64.logand (Int64.shift_right_logical w 2) 0x3333333333333333L)
-  in
-  let w = Int64.logand (Int64.add w (Int64.shift_right_logical w 4)) 0x0F0F0F0F0F0F0F0FL in
-  Int64.to_int (Int64.shift_right_logical (Int64.mul w 0x0101010101010101L) 56)
-
-let count_ones t = Array.fold_left (fun acc w -> acc + popcount64 w) 0 t.words
-
 let iter_minterms t f =
   for m = 0 to num_bits t - 1 do
     if get t m then f m
@@ -165,8 +153,6 @@ let cofactor1 t i =
   end
 
 let exists t i = bor (cofactor0 t i) (cofactor1 t i)
-
-let forall t i = band (cofactor0 t i) (cofactor1 t i)
 
 let depends_on t i = not (equal (cofactor0 t i) (cofactor1 t i))
 

@@ -46,8 +46,6 @@ val bdiff : t -> t -> t
 val is_const0 : t -> bool
 val is_const1 : t -> bool
 
-val count_ones : t -> int
-
 val iter_minterms : t -> (int -> unit) -> unit
 (** Apply to every ON-set minterm in increasing order. *)
 
@@ -58,8 +56,6 @@ val cofactor1 : t -> int -> t
 
 val exists : t -> int -> t
 (** Existential quantification: [cofactor0 t i OR cofactor1 t i]. *)
-
-val forall : t -> int -> t
 
 val depends_on : t -> int -> bool
 (** True if the function actually depends on variable [i]. *)

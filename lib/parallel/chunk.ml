@@ -1,12 +1,11 @@
-(* Deterministic chunked map/reduce on top of the pool.
+(* Deterministic chunked iteration on top of the pool.
 
    The determinism contract (DESIGN.md section 8): chunk boundaries are a
    function of [n] and [chunk_size] ONLY — never of the pool size or of
-   scheduling — and reductions fold chunk results in increasing chunk-index
-   order.  A computation whose per-chunk work is a pure function of its index
-   range therefore produces bit-identical results at any [jobs] setting,
-   including jobs = 1 and no pool at all (both run the same chunks in
-   order). *)
+   scheduling.  A computation whose per-chunk work is a pure function of
+   its index range therefore produces bit-identical results at any [jobs]
+   setting, including jobs = 1 and no pool at all (both run the same chunks
+   in order). *)
 
 let default_max_chunks = 64
 
@@ -23,18 +22,17 @@ let ranges ?chunk_size n =
   let k = (n + cs - 1) / cs in
   Array.init k (fun i -> (i * cs, min n ((i + 1) * cs)))
 
-(* Run [f lo hi] once per chunk, collecting results by chunk index.  The
-   parallel path fans chunks out as pool tasks and awaits them all (the
-   caller helps); the sequential path runs the SAME chunks in order. *)
-let map_chunks ?pool ?chunk_size ~n f =
+(* Run [f lo hi] once per chunk.  The parallel path fans chunks out as pool
+   tasks and awaits them all (the caller helps); the sequential path runs
+   the SAME chunks in order. *)
+let iter ?pool ?chunk_size ~n f =
   let rs = ranges ?chunk_size n in
   let k = Array.length rs in
-  let out = Array.make k None in
   let exec i =
     let lo, hi = rs.(i) in
-    out.(i) <- Some (f lo hi)
+    f lo hi
   in
-  (match pool with
+  match pool with
   | Some p when Pool.size p > 1 && k > 1 ->
       (* The pool checks its cancellation hook before each chunk task. *)
       let futs = Array.init k (fun i -> Pool.async p (fun () -> exec i)) in
@@ -47,16 +45,7 @@ let map_chunks ?pool ?chunk_size ~n f =
         | Some p when Pool.cancelled p -> raise Pool.Cancelled
         | _ -> ());
         exec i
-      done);
-  Array.map
-    (function Some v -> v | None -> invalid_arg "Chunk: missing chunk result")
-    out
-
-let iter ?pool ?chunk_size ~n f =
-  ignore (map_chunks ?pool ?chunk_size ~n (fun lo hi : unit -> f lo hi) : unit array)
-
-let map_reduce ?pool ?chunk_size ~n ~map ~merge ~init () =
-  Array.fold_left merge init (map_chunks ?pool ?chunk_size ~n map)
+      done
 
 let map ?pool ?chunk_size ~n f =
   let out = Array.make n None in

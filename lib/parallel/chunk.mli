@@ -1,9 +1,8 @@
-(** Deterministic chunked iteration / map / reduce.
+(** Deterministic chunked iteration and map.
 
     The determinism contract: chunk boundaries depend only on [n] and
     [?chunk_size] (default: at most {!default_max_chunks} equal chunks) —
-    never on the pool size or scheduling — and {!map_reduce} folds chunk
-    results in increasing chunk order.  Any computation whose per-chunk work
+    never on the pool size or scheduling.  Any computation whose per-chunk work
     is a pure function of its index range is therefore bit-identical at
     every [jobs] setting; this is what makes parallel simulation and
     candidate scoring safe to interleave with journaled checkpoint/resume.
@@ -31,15 +30,3 @@ val iter : ?pool:Pool.t -> ?chunk_size:int -> n:int -> (int -> int -> unit) -> u
 val map : ?pool:Pool.t -> ?chunk_size:int -> n:int -> (int -> 'a) -> 'a array
 (** Per-index map; result slot [i] is [f i]. *)
 
-val map_reduce :
-  ?pool:Pool.t ->
-  ?chunk_size:int ->
-  n:int ->
-  map:(int -> int -> 'a) ->
-  merge:('a -> 'a -> 'a) ->
-  init:'a ->
-  unit ->
-  'a
-(** [map_reduce ~n ~map ~merge ~init ()] computes [map lo hi] per chunk and
-    folds the results with [merge] in chunk order (ordered reduction:
-    float-sum results are reproducible). *)

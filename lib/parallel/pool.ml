@@ -297,20 +297,19 @@ let stats t =
   Mutex.unlock t.mutex;
   s
 
-let reset_stats t =
-  Mutex.lock t.mutex;
-  Array.iter
-    (fun c ->
-      c.c_tasks <- 0;
-      c.c_steals <- 0;
-      c.c_busy <- 0L;
-      c.c_idle <- 0L)
-    t.counters;
-  Mutex.unlock t.mutex
-
 let pp_stats ppf stats =
-  Array.iter
-    (fun s ->
-      Format.fprintf ppf "worker %d: %d tasks, %d steals, busy %.3fs, idle %.3fs@."
+  Format.fprintf ppf "@[<v>";
+  Array.iteri
+    (fun i s ->
+      if i > 0 then Format.fprintf ppf "@,";
+      Format.fprintf ppf "worker %d: %6d tasks %5d steals  busy %8.3fs  idle %8.3fs"
         s.worker s.tasks s.steals (Clock.ns_to_s s.busy_ns) (Clock.ns_to_s s.idle_ns))
-    stats
+    stats;
+  Format.fprintf ppf "@]"
+
+let summary stats =
+  let tasks = Array.fold_left (fun a s -> a + s.tasks) 0 stats in
+  let steals = Array.fold_left (fun a s -> a + s.steals) 0 stats in
+  let busy = Array.fold_left (fun a s -> a +. Clock.ns_to_s s.busy_ns) 0.0 stats in
+  Printf.sprintf "%d workers, %d tasks, %d steals, %.3fs busy" (Array.length stats)
+    tasks steals busy

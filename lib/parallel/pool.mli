@@ -87,11 +87,12 @@ val cancelled : t -> bool
     the same chunk-boundary contract. *)
 
 val stats : t -> stat array
-(** Per-lane counters since creation (or the last {!reset_stats}).  A task
-    is counted before its future resolves, so a read after the last
-    {!await} sees every awaited task. *)
-
-val reset_stats : t -> unit
+(** Per-lane counters since creation.  A task is counted before its future
+    resolves, so a read after the last {!await} sees every awaited task. *)
 
 val pp_stats : Format.formatter -> stat array -> unit
-(** One line per worker: tasks, steals, busy/idle seconds. *)
+(** Multi-line, one worker per line: tasks, steals, busy/idle seconds. *)
+
+val summary : stat array -> string
+(** One-line aggregate: worker count, total tasks/steals, total busy
+    seconds. *)

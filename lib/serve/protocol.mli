@@ -65,7 +65,6 @@ type response =
   | Err of { code : error_code; detail : string; retry_after_s : float option }
 
 val code_to_string : error_code -> string
-val code_of_string : string -> error_code option
 
 val valid_session_name : string -> bool
 (** Session names become state-directory names: nonempty,

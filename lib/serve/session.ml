@@ -27,7 +27,7 @@ let ( // ) = Filename.concat
    [Errest.Metrics.evaluate]. *)
 let make_eval_pats g =
   let npis = Aig.Graph.num_pis g in
-  if npis <= Sim.Patterns.exhaustive_limit && 1 lsl npis <= eval_rounds then
+  if Sim.Patterns.fits_exhaustive ~npis ~rounds:eval_rounds then
     Sim.Patterns.exhaustive ~npis
   else Sim.Patterns.random (Logic.Rng.create eval_seed) ~npis ~len:eval_rounds
 

@@ -10,7 +10,8 @@
     v}
 
     The decoder is hostile-input-hardened: the magic must match, the length
-    must fit [0 .. max_frame_bytes], the checksum must verify, and every
+    must fit [0 .. 64 MiB] (a larger length is rejected without
+    allocating), the checksum must verify, and every
     read runs under a deadline — a peer that sends half a frame and stalls
     costs one timeout, never a wedged thread.  Decode failures are
     non-recoverable for the connection (the stream position is unknown), so
@@ -32,10 +33,6 @@ exception Timeout
 exception Malformed of string
 (** Bad magic, oversized or negative length, checksum mismatch, or EOF in
     the middle of a frame.  The connection must be dropped. *)
-
-val max_frame_bytes : int
-(** Upper bound on a payload (64 MiB); larger length fields are rejected
-    without allocating. *)
 
 val listen : path:string -> Unix.file_descr
 (** Bind and listen on a Unix-domain socket, unlinking a stale socket file

@@ -75,30 +75,3 @@ let po_values g sigs =
   Array.init (Graph.num_pos g) (fun i -> lit_value sigs (Graph.po_lit g i))
 
 let simulate_pos ?pool g inputs = po_values g (simulate ?pool g inputs)
-
-let resimulate_tfo g ~base ~tfo ~node ~value =
-  let len = Bitvec.length value in
-  (* Scratch signatures only for re-evaluated nodes. *)
-  let scratch : Bitvec.t option array = Array.make (Graph.num_nodes g) None in
-  scratch.(node) <- Some value;
-  let sig_of id =
-    match scratch.(id) with Some v -> v | None -> base.(id)
-  in
-  Graph.iter_ands g (fun id ->
-      if tfo.(id) && id <> node then begin
-        let f0 = Graph.fanin0 g id and f1 = Graph.fanin1 g id in
-        let dst =
-          match scratch.(id) with
-          | Some v -> v
-          | None ->
-              let v = Bitvec.create len in
-              scratch.(id) <- Some v;
-              v
-        in
-        and_words dst (sig_of (Graph.node_of f0)) (sig_of (Graph.node_of f1))
-          (phase_mask f0) (phase_mask f1)
-      end);
-  Array.init (Graph.num_pos g) (fun i ->
-      let l = Graph.po_lit g i in
-      let v = sig_of (Graph.node_of l) in
-      if Graph.is_compl l then Bitvec.lognot v else Bitvec.copy v)

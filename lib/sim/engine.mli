@@ -23,16 +23,3 @@ val simulate_pos :
 
 val lit_value : Logic.Bitvec.t array -> Aig.Graph.lit -> Logic.Bitvec.t
 (** Signature of a literal (fresh vector when complemented). *)
-
-val resimulate_tfo :
-  Aig.Graph.t ->
-  base:Logic.Bitvec.t array ->
-  tfo:bool array ->
-  node:int ->
-  value:Logic.Bitvec.t ->
-  Logic.Bitvec.t array
-(** PO signatures after overriding [node]'s signature with [value] and
-    re-evaluating only the nodes marked in [tfo] (as from
-    {!Aig.Cone.tfo_mask}).  [base] is untouched; nodes outside the mask reuse
-    their base signatures.  This is the inner operation of batch error
-    estimation. *)

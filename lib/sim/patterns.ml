@@ -3,6 +3,8 @@ let random rng ~npis ~len =
 
 let exhaustive_limit = 24
 
+let fits_exhaustive ~npis ~rounds = npis <= exhaustive_limit && 1 lsl npis <= rounds
+
 let exhaustive ~npis =
   if npis > exhaustive_limit then invalid_arg "Patterns.exhaustive: too many PIs";
   let len = 1 lsl npis in

@@ -14,6 +14,11 @@ val exhaustive : npis:int -> Logic.Bitvec.t array
 val exhaustive_limit : int
 (** Largest PI count accepted by {!exhaustive} (24). *)
 
+val fits_exhaustive : npis:int -> rounds:int -> bool
+(** Whether all [2^npis] input combinations fit in a budget of [rounds]
+    (and [npis <= exhaustive_limit]): the one test by which every
+    evaluator chooses {!exhaustive} patterns over a random sample. *)
+
 val weighted : Logic.Rng.t -> probs:float array -> len:int -> Logic.Bitvec.t array
 (** Independent per-PI one-probabilities — the "user-specified distribution"
     hook of Section III-A. *)

@@ -66,7 +66,3 @@ let mcnc =
         gate "mux2" 3 mux2 5.0 1.8;
       ];
   }
-
-let pp_gate ppf (g : gate) =
-  Format.fprintf ppf "%s/%d area=%.1f delay=%.1f tt=%a" g.name g.ninputs g.area g.delay
-    Logic.Truth.pp g.tt

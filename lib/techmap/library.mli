@@ -26,5 +26,3 @@ val find : t -> string -> gate option
 val mcnc : t
 (** Embedded MCNC-class library (see DESIGN.md §2.5): INV, buffers excluded,
     NAND/NOR 2-4, AND2/OR2, XOR2/XNOR2, AOI/OAI 21 and 22, MUX2. *)
-
-val pp_gate : Format.formatter -> gate -> unit

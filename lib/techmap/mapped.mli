@@ -32,8 +32,6 @@ val delay : t -> float
 val depth : t -> int
 (** Unit-delay depth (LUT-network depth in the FPGA experiments). *)
 
-val net_count : t -> int
-
 val simulate : t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
 (** PO signatures from PI signatures — used to verify mappers against the
     source AIG. *)
@@ -46,9 +44,5 @@ val to_graph : t -> Aig.Graph.t
     cell's truth table is expanded into an ISOP cover over its fanin nets.
     PI/PO order and names are preserved, so the result can be compared
     against the mapper's source AIG by an equivalence checker. *)
-
-val eval_tt_sigs : Logic.Truth.t -> Logic.Bitvec.t array -> Logic.Bitvec.t
-(** Word-parallel evaluation of a small truth table over input signatures
-    (shared with the resubstitution engine's candidate scoring). *)
 
 val pp_stats : Format.formatter -> t -> unit

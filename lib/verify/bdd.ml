@@ -39,7 +39,6 @@ let create ?(limit = 1_000_000) ~nvars () =
   m
 
 let cfalse _ = 0
-let ctrue _ = 1
 let is_false _ f = f = 0
 let num_nodes m = m.n
 
@@ -103,7 +102,6 @@ let rec ite m f g h =
 
 let not_ m f = ite m f 0 1
 let and_ m f g = ite m f g 0
-let xor_ m f g = ite m f (not_ m g) g
 
 let copy_to ~src ~dst roots =
   let memo = Hashtbl.create 4096 in

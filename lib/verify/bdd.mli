@@ -27,14 +27,12 @@ val create : ?limit:int -> nvars:int -> unit -> mgr
     variable universe; variable index doubles as its order level. *)
 
 val cfalse : mgr -> node
-val ctrue : mgr -> node
 
 val var : mgr -> int -> node
 (** Raises [Invalid_argument] outside [0 .. nvars-1]. *)
 
 val not_ : mgr -> node -> node
 val and_ : mgr -> node -> node -> node
-val xor_ : mgr -> node -> node -> node
 
 val is_false : mgr -> node -> bool
 

@@ -467,9 +467,6 @@ let run ?(seed = 1) ?(rounds = default_rounds) ?(effort = Thorough) a b =
         end)
   end
 
-let run_mapped ?seed ?rounds ?effort a m =
-  run ?seed ?rounds ?effort a (Techmap.Mapped.to_graph m)
-
 let verdict_to_string = function
   | Equivalent -> "equivalent"
   | Inequivalent cex ->

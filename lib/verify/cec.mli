@@ -63,20 +63,20 @@ val run :
     PI or PO counts differ (no counterexample vector can describe an
     interface mismatch). *)
 
-val run_mapped :
-  ?seed:int ->
-  ?rounds:int ->
-  ?effort:effort ->
-  Aig.Graph.t ->
-  Techmap.Mapped.t ->
-  verdict
-(** Check an AIG against a technology-mapped netlist
-    ({!Techmap.Mapped.to_graph} bridges the representations). *)
-
 val miter : Aig.Graph.t -> Aig.Graph.t -> Aig.Graph.t
 (** The shared-PI miter: output [o] is [po_a(o) XOR po_b(o)], so the
     circuits are equivalent iff every miter output is constant false.
     Structural hashing shares identical logic between the two halves. *)
+
+val copy_into : Aig.Graph.t -> Aig.Graph.lit array -> Aig.Graph.t -> Aig.Graph.lit array
+(** [copy_into g pis src] appends a strashed copy of [src] to [g], PI [i]
+    of [src] read as literal [pis.(i)] of [g], and returns the copies of
+    [src]'s PO literals, in PO order.  The building block of {!miter}. *)
+
+val eval_graph : Aig.Graph.t -> bool array -> bool array
+(** PO values under one input vector (value [i] for PI [i]), by direct
+    memoised recursion that shares nothing with the word-parallel
+    simulator: the evaluator that validates counterexamples. *)
 
 val holds : Aig.Graph.t -> Aig.Graph.t -> counterexample -> bool
 (** Validate a counterexample by direct (non-word-parallel) evaluation of

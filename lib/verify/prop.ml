@@ -142,16 +142,6 @@ let check_exn ?profile ?dump_dir ~name ~seed ~count prop =
 
 (* ---------- Generic values ---------- *)
 
-type 'a value_failure = {
-  v_case_seed : int;
-  v_message : string;
-  v_original : 'a;
-  v_shrunk : 'a;
-  v_shrink_steps : int;
-}
-
-type 'a value_outcome = Value_passed of int | Value_failed of 'a value_failure
-
 (* Same greedy discipline as the circuit shrinker: adopt the first
    proposed variant that still fails, restart from it, stop when a full
    proposal list passes (or the budget runs out).  Termination is the
@@ -180,31 +170,23 @@ let shrink_value fails shrink v0 msg0 =
   done;
   (!cur, !msg, !steps)
 
-let check_value ~name:_ ~seed ~count ~gen ~shrink prop =
+let check_value_exn ~name ~seed ~count ~gen ~shrink ~repr prop =
   let prop v =
     try prop v
     with e -> Error (Printf.sprintf "exception: %s" (Printexc.to_string e))
   in
   let fails v = match prop v with Error m -> Some m | Ok () -> None in
   let rec loop i =
-    if i >= count then Value_passed count
-    else begin
-      let v_case_seed = seed + i in
-      let v = gen v_case_seed in
+    if i < count then begin
+      let case_seed = seed + i in
+      let v = gen case_seed in
       match fails v with
       | None -> loop (i + 1)
       | Some msg ->
-          let v_shrunk, v_message, v_shrink_steps = shrink_value fails shrink v msg in
-          Value_failed
-            { v_case_seed; v_message; v_original = v; v_shrunk; v_shrink_steps }
+          let shrunk, message, steps = shrink_value fails shrink v msg in
+          failwith
+            (Printf.sprintf "property %s failed at seed %d: %s (shrunk in %d steps: %s)"
+               name case_seed message steps (repr shrunk))
     end
   in
   loop 0
-
-let check_value_exn ~name ~seed ~count ~gen ~shrink ~repr prop =
-  match check_value ~name ~seed ~count ~gen ~shrink prop with
-  | Value_passed _ -> ()
-  | Value_failed f ->
-      failwith
-        (Printf.sprintf "property %s failed at seed %d: %s (shrunk in %d steps: %s)"
-           name f.v_case_seed f.v_message f.v_shrink_steps (repr f.v_shrunk))

@@ -54,34 +54,6 @@ val check_exn :
     values (Pareto fronts, sampled error sequences ...), with
     caller-supplied generation and shrinking. *)
 
-type 'a value_failure = {
-  v_case_seed : int;  (** pass to [gen] to rebuild the original *)
-  v_message : string;  (** the property's error for the shrunk value *)
-  v_original : 'a;
-  v_shrunk : 'a;
-  v_shrink_steps : int;
-}
-
-type 'a value_outcome = Value_passed of int | Value_failed of 'a value_failure
-
-val check_value :
-  name:string ->
-  seed:int ->
-  count:int ->
-  gen:(int -> 'a) ->
-  shrink:('a -> 'a list) ->
-  ('a -> (unit, string) result) ->
-  'a value_outcome
-(** [check_value ~name ~seed ~count ~gen ~shrink prop] evaluates [prop]
-    on [gen (seed + i)] for [i < count], stopping at the first failure,
-    which is then shrunk greedily: [shrink v] proposes smaller variants
-    in preference order, the first still-failing one is adopted, and the
-    loop repeats until no variant fails (or a step budget runs out).
-    [shrink] returning [[]] disables shrinking.  An exception escaping
-    [prop] counts as a failure with the exception text; determinism is
-    the caller's contract — [gen] and [prop] must depend only on their
-    arguments. *)
-
 val check_value_exn :
   name:string ->
   seed:int ->
@@ -91,5 +63,13 @@ val check_value_exn :
   repr:('a -> string) ->
   ('a -> (unit, string) result) ->
   unit
-(** Like {!check_value} but raises [Failure] naming the seed, the
-    message and [repr] of the shrunk counterexample. *)
+(** [check_value_exn ~name ~seed ~count ~gen ~shrink ~repr prop]
+    evaluates [prop] on [gen (seed + i)] for [i < count], stopping at the
+    first failure, which is then shrunk greedily: [shrink v] proposes
+    smaller variants in preference order, the first still-failing one is
+    adopted, and the loop repeats until no variant fails (or a step budget
+    runs out).  [shrink] returning [[]] disables shrinking.  An exception
+    escaping [prop] counts as a failure with the exception text.  A failure
+    raises [Failure] naming the seed, the message and [repr] of the shrunk
+    counterexample.  Determinism is the caller's contract: [gen] and [prop]
+    must depend only on their arguments. *)

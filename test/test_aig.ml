@@ -177,17 +177,6 @@ let test_tfi_tfo () =
   check "y in tfo of ab" true tfo.(Graph.node_of y);
   check "ac not in tfo of ab" false tfo.(Graph.node_of ac)
 
-let test_tfi_nodes_sorted () =
-  let g, _, _, _, _, _, y = diamond () in
-  let nodes = Aig.Cone.tfi_nodes g (Graph.node_of y) in
-  check_int "five tfi nodes" 5 (List.length nodes);
-  let lev = Aig.Topo.levels g in
-  let rec ascending = function
-    | a :: b :: rest -> lev.(a) <= lev.(b) && ascending (b :: rest)
-    | _ -> true
-  in
-  check "sorted by level" true (ascending nodes)
-
 let test_mffc () =
   let g, _, _, _, ab, ac, y = diamond () in
   let fanouts = Aig.Topo.fanout_counts g in
@@ -334,7 +323,7 @@ let test_node_count_in_use () =
   let _dead = Graph.and_ g a (Graph.lit_not b) in
   ignore (Graph.add_po g used);
   check_int "stored" 2 (Graph.num_ands g);
-  check_int "in use" 1 (Aig.Topo.node_count_in_use g)
+  check_int "in use" 1 (Graph.num_ands (Graph.compact g))
 
 let test_set_po () =
   let g = Graph.create () in
@@ -343,7 +332,7 @@ let test_set_po () =
   Graph.set_po g i b;
   check_int "updated" b (Graph.po_lit g i)
 
-(* ---------- SoA core: clone, snapshot, views, rebuilder ---------- *)
+(* ---------- SoA core: clone, views, rebuilder ---------- *)
 
 (* Reference recomputation of every derived view through the public
    accessors only — shares nothing with the cache under test. *)
@@ -454,29 +443,6 @@ let test_trim () =
     check_views "grown" g
   done
 
-let test_snapshot_restore () =
-  for seed = 1 to 50 do
-    let g = Verify.Gen.random seed in
-    let d0 = dump g in
-    let s = Graph.snapshot g in
-    let rev0 = Graph.revision g in
-    let a = Graph.add_pi g in
-    ignore (Graph.add_po g (Graph.and_ g a (Graph.pi_lit g 0)));
-    Graph.set_po g 0 Graph.const0;
-    check "mutations took" true (dump g <> d0);
-    Graph.restore g s;
-    Alcotest.(check string) "restored dump" d0 (dump g);
-    check "revision stays monotonic" true (Graph.revision g > rev0);
-    check_views "restored" g;
-    Aig.Check.check_exn g;
-    (* The restored strash is live: re-issuing every existing pair must hit
-       the table, never create a node. *)
-    let n = Graph.num_nodes g in
-    Graph.iter_ands g (fun id ->
-        ignore (Graph.and_ g (Graph.fanin0 g id) (Graph.fanin1 g id)));
-    check_int "strash intact after restore" n (Graph.num_nodes g)
-  done
-
 let test_rebuilder_matches_rebuild () =
   (* One shared rebuilder across 220 random circuits: the scratch-reuse
      path must produce byte-identical results to the allocating one, with
@@ -549,7 +515,6 @@ let () =
           Alcotest.test_case "levels/depth" `Quick test_levels_depth;
           Alcotest.test_case "fanouts" `Quick test_fanouts;
           Alcotest.test_case "tfi/tfo" `Quick test_tfi_tfo;
-          Alcotest.test_case "tfi sorted" `Quick test_tfi_nodes_sorted;
           Alcotest.test_case "mffc" `Quick test_mffc;
           Alcotest.test_case "cone inputs" `Quick test_cone_inputs;
         ] );
@@ -559,7 +524,6 @@ let () =
             test_views_random_mutations;
           Alcotest.test_case "clone round-trip" `Quick test_clone_roundtrip;
           Alcotest.test_case "trim" `Quick test_trim;
-          Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
           Alcotest.test_case "rebuilder matches rebuild" `Quick
             test_rebuilder_matches_rebuild;
           Alcotest.test_case "steady-state allocation" `Quick

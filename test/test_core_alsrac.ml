@@ -15,7 +15,7 @@ let test_divisor_sets_shape () =
   let ac = Graph.and_ g a c in
   let y = Graph.and_ g ab ac in
   ignore (Graph.add_po g y);
-  let sets = Core.Divisor.select g ~max_tfi:100 (Graph.node_of y) in
+  let sets = Reference.select g ~max_tfi:100 (Graph.node_of y) in
   check "nonempty" true (sets <> []);
   (* First set is a single fanin (remove-one). *)
   check_int "first set size" 1 (Array.length (List.hd sets));
@@ -38,7 +38,7 @@ let test_divisor_iter_stops () =
   let x = Graph.and_ g a b in
   ignore (Graph.add_po g x);
   let count = ref 0 in
-  Core.Divisor.iter_sets g ~max_tfi:100 (Graph.node_of x) (fun _ ->
+  Reference.iter_sets g ~max_tfi:100 (Graph.node_of x) (fun _ ->
       incr count;
       `Stop);
   check_int "stopped after one" 1 !count
@@ -63,8 +63,8 @@ let mffc_table mffc =
    with its [true_savings], stable-sorted by savings, best first. *)
 let eager_ranking g ~max_tfi ~mffc v =
   let in_mffc = mffc_table mffc and mffc_size = List.length mffc in
-  Core.Divisor.select g ~max_tfi v
-  |> List.map (fun set -> (Core.Divisor.true_savings g ~in_mffc ~mffc_size set, set))
+  Reference.select g ~max_tfi v
+  |> List.map (fun set -> (Reference.true_savings g ~in_mffc ~mffc_size set, set))
   |> List.stable_sort (fun (s1, _) (s2, _) -> compare s2 s1)
 
 let test_ranked_walk_oracle () =
@@ -330,7 +330,7 @@ let test_lac_respects_limit () =
   Hashtbl.iter (fun _ n -> check_int "L=1 respected" 1 n) per_node
 
 (* The eager Algorithm 2 that [Lac.generate] replaced, kept as its oracle.
-   [eager_ranked] care-scans every set of [Divisor.select] and stable-sorts
+   [eager_ranked] care-scans every set of [Reference.select] and stable-sorts
    each target's feasible sets by savings; [eager_lacs] then derives
    (Espresso called directly) in that order until 8 sets are derived or
    [lac_limit] candidates found. *)
@@ -347,8 +347,8 @@ let eager_ranked ?obs g ~max_tfi ~sigs ~rounds =
             (fun divisors ->
               Core.Care.scan ?mask ~sigs ~node:v ~divisors ~rounds ()
               |> Option.map (fun care ->
-                     (Core.Divisor.true_savings g ~in_mffc ~mffc_size divisors, divisors, care)))
-            (Core.Divisor.select g ~max_tfi v)
+                     (Reference.true_savings g ~in_mffc ~mffc_size divisors, divisors, care)))
+            (Reference.select g ~max_tfi v)
         in
         per_node :=
           (v, List.stable_sort (fun (s1, _, _) (s2, _, _) -> compare s2 s1) feasible)

@@ -136,7 +136,7 @@ let test_resume_from_truncated_checkpoint () =
   let dir = fresh_dir () in
   run_killed_journaled dir ~kill_after:3;
   let cp = Filename.concat dir "checkpoint" in
-  Core.Fault.truncate_file cp ~keep:(file_size cp / 2);
+  Util.truncate_file cp ~keep:(file_size cp / 2);
   let r = Core.Journal.load dir in
   check "torn checkpoint detected" true (r.Core.Journal.degraded <> None);
   check "fell back to the previous checkpoint" true (r.Core.Journal.state <> None);
@@ -150,7 +150,7 @@ let test_resume_from_garbled_checkpoint () =
   let dir = fresh_dir () in
   run_killed_journaled dir ~kill_after:3;
   let cp = Filename.concat dir "checkpoint" in
-  Core.Fault.corrupt_byte cp ~pos:(file_size cp / 2);
+  Util.corrupt_byte cp ~pos:(file_size cp / 2);
   let r = Core.Journal.load dir in
   check "bit rot detected" true (r.Core.Journal.degraded <> None);
   let a_res, _ = Core.Flow.resume dir in
@@ -164,8 +164,8 @@ let test_resume_after_total_checkpoint_loss () =
   let a_full, _ = Lazy.force baseline in
   let dir = fresh_dir () in
   run_killed_journaled dir ~kill_after:3;
-  Core.Fault.truncate_file (Filename.concat dir "checkpoint") ~keep:7;
-  Core.Fault.truncate_file (Filename.concat dir "checkpoint.prev") ~keep:7;
+  Util.truncate_file (Filename.concat dir "checkpoint") ~keep:7;
+  Util.truncate_file (Filename.concat dir "checkpoint.prev") ~keep:7;
   let r = Core.Journal.load dir in
   check "degraded to fresh start" true
     (r.Core.Journal.degraded <> None && r.Core.Journal.state = None);
@@ -177,7 +177,7 @@ let test_resume_after_total_checkpoint_loss () =
 let test_corrupt_manifest_fails_cleanly () =
   let dir = fresh_dir () in
   run_killed_journaled dir ~kill_after:2;
-  Core.Fault.truncate_file (Filename.concat dir "manifest") ~keep:25;
+  Util.truncate_file (Filename.concat dir "manifest") ~keep:25;
   match Core.Journal.load dir with
   | _ -> Alcotest.fail "expected Failure on a corrupt manifest"
   | exception Failure _ -> ()
@@ -307,6 +307,18 @@ let run_cli args =
   | Unix.WEXITED 0 -> out
   | _ -> Alcotest.failf "alsrac %s failed:\n%s" (String.concat " " args) out
 
+(* Exit status and combined stdout + stderr of one CLI call. *)
+let run_cli_status args =
+  let ((out, _, err) as proc) =
+    Unix.open_process_args_full alsrac_exe (Array.of_list (alsrac_exe :: args))
+      (Unix.environment ())
+  in
+  let text = In_channel.input_all out in
+  let text = text ^ In_channel.input_all err in
+  match Unix.close_process_full proc with
+  | Unix.WEXITED code -> (code, text)
+  | _ -> Alcotest.failf "alsrac %s did not exit" (String.concat " " args)
+
 let line_starting prefix text =
   match
     List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text)
@@ -337,6 +349,15 @@ let test_cli_resume_reports_journaled_run () =
       Sys.remove out_aag)
     [ "int2float"; "c880" ];
   Sys.remove full_aag
+
+let test_cli_eval_interface_mismatch () =
+  (* c880 has 22 PIs, c1908 21: [eval] must refuse them with a message, as
+     [cec] does, not crash. *)
+  let code, text = run_cli_status [ "eval"; "c880"; "c1908"; "-m"; "er" ] in
+  check_int "exit status" 1 code;
+  check "names both PI counts" true
+    (Util.contains text "c880 has 22" && Util.contains text "c1908 has 21");
+  check "no internal error" false (Util.contains text "internal error")
 
 (* ---------- Guarded transforms ---------- *)
 
@@ -557,6 +578,11 @@ let () =
           Alcotest.test_case "removed policy rejected" `Quick test_removed_policy_rejected;
           Alcotest.test_case "CLI resume reports the journaled run" `Quick
             test_cli_resume_reports_journaled_run;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "eval rejects mismatched interfaces" `Quick
+            test_cli_eval_interface_mismatch;
         ] );
       ( "guard",
         [

@@ -52,7 +52,7 @@ let test_tfi_candidates_nearest_first () =
      FIRST casualty of the cap.  It must now always be emitted inside some
      divisor set. *)
   let seen_near = ref false in
-  Core.Divisor.iter_sets g ~max_tfi:5 target (fun set ->
+  Reference.iter_sets g ~max_tfi:5 target (fun set ->
       if Array.exists (fun d -> d = chain.(8)) set then seen_near := true;
       `Continue);
   check "iter_sets emits a set containing the nearest divisor" true !seen_near
@@ -154,7 +154,7 @@ let eager_resub_ranking g ~mffc ~pairs ~triples divs =
   let mffc_size = List.length mffc in
   candidate_sets ~pairs ~triples divs
   |> List.map (fun set ->
-         ( Core.Divisor.true_savings g ~in_mffc ~mffc_size set - (Array.length set - 1),
+         ( Reference.true_savings g ~in_mffc ~mffc_size set - (Array.length set - 1),
            set ))
   |> List.stable_sort (fun (k1, _) (k2, _) -> compare k2 k1)
 

@@ -400,6 +400,19 @@ let status_field conn key =
   | Some v -> v
   | None -> Alcotest.fail (Printf.sprintf "status lacks %s" key)
 
+(* Poll [status] until the daemon reports a session busy, for up to 5 s.
+   The tests below need an approx started on another connection to be
+   running when their next request arrives, and it takes well under a
+   second on a fast machine, so a fixed sleep can land before it starts or
+   after it ends. *)
+let session_claimed conn =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec claimed () =
+    Util.contains (status_field conn "session") "busy=true"
+    || (Unix.gettimeofday () < deadline && (Thread.delay 0.01; claimed ()))
+  in
+  claimed ()
+
 let test_daemon_lifecycle () =
   with_daemon (daemon_config ()) @@ fun conn ->
   check "ping" true (Serve.Client.ping conn);
@@ -448,8 +461,7 @@ let approx_params ~threshold =
   }
 
 (* A c1908 run long enough for the timing tests below, which need it still
-   running 0.25-0.4 s in: at 16384 evaluation rounds the flow takes over a
-   second on a 2-vCPU VM, at 1024 rounds about 0.4 s. *)
+   running 0.25 s in, or when the daemon first reports it busy. *)
 let slow_approx_params = { (approx_params ~threshold:0.05) with eval_rounds = 16384 }
 
 let test_daemon_deadline_rollback () =
@@ -503,7 +515,7 @@ let test_daemon_backpressure () =
         Serve.Client.close c)
       ()
   in
-  Thread.delay 0.4;
+  check "approx claimed the session" true (session_claimed conn);
   (* ...then hit the size-1 queue from several concurrent clients. *)
   let results = Array.make 3 None in
   let clients =
@@ -550,16 +562,8 @@ let test_daemon_busy_approx () =
         Serve.Client.close c)
       ()
   in
-  (* The second approx must arrive while the first holds the session, and
-     the first takes well under a second on a fast machine: wait until the
-     daemon reports the session busy (for up to 5 s) instead of sleeping a
-     fixed 0.4 s. *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let rec claimed () =
-    Util.contains (status_field conn "session") "busy=true"
-    || (Unix.gettimeofday () < deadline && (Thread.delay 0.01; claimed ()))
-  in
-  check "first approx claimed the session" true (claimed ());
+  (* The second approx must arrive while the first holds the session. *)
+  check "first approx claimed the session" true (session_claimed conn);
   (match
      Serve.Client.approx conn ~session:"s1"
        ~params:(approx_params ~threshold:0.05) ()

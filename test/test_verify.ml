@@ -167,7 +167,7 @@ let test_mapping_random () =
     (fun (name, map) ->
       prop_case ("map-" ^ name) ~profile ~count:100 (fun g ->
           let m = map g in
-          match Cec.run_mapped g m with
+          match Cec.run g (Techmap.Mapped.to_graph m) with
           | Cec.Equivalent -> Ok ()
           | v -> Error (Cec.verdict_to_string v)))
     [
@@ -183,7 +183,7 @@ let test_mapping_suite () =
            List.iter
              (fun (name, map) ->
                let m = map g in
-               match Cec.run_mapped g m with
+               match Cec.run g (Techmap.Mapped.to_graph m) with
                | Cec.Equivalent -> ()
                | Cec.Inequivalent cex ->
                    Alcotest.failf "%s %s-mapped: inequivalent on PO %d"

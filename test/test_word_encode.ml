@@ -174,7 +174,7 @@ let test_worst_case_ed () =
   (* values 1, 2 *)
   let approx = [| Logic.Bitvec.of_string "00"; Logic.Bitvec.of_string "10" |] in
   (* values 2, 0 *)
-  check_int "worst |d|" 2 (Errest.Metrics.worst_case_ed ~golden ~approx)
+  check_int "worst |d|" 2 (int_of_float (Errest.Metrics.measure Maxed ~golden ~approx))
 
 let prop_prepared_equals_measure =
   QCheck.Test.make ~name:"prepared measurement equals direct" ~count:50

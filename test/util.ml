@@ -104,3 +104,33 @@ let test_jobs =
   match Sys.getenv_opt "ALSRAC_TEST_JOBS" with
   | Some s -> ( match int_of_string_opt s with Some n when n >= 2 -> n | _ -> 4)
   | None -> 4
+
+(* ---------- File corruption (journal-recovery tests) ----------
+
+   The torn or bit-rotted files an atomic writer never produces, written
+   deliberately without it. *)
+
+(* Truncate a file in place to its first [keep] bytes (clamped). *)
+let truncate_file path ~keep =
+  let ic = open_in_bin path in
+  let len = in_channel_length ic in
+  let keep = max 0 (min keep len) in
+  let contents = really_input_string ic keep in
+  close_in ic;
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+(* XOR one byte of the file at offset [pos mod size]; fails on an empty
+   file. *)
+let corrupt_byte path ~pos =
+  let ic = open_in_bin path in
+  let len = in_channel_length ic in
+  let contents = Bytes.of_string (really_input_string ic len) in
+  close_in ic;
+  if len = 0 then failwith "corrupt_byte: empty file";
+  let pos = pos mod len in
+  Bytes.set contents pos (Char.chr (Char.code (Bytes.get contents pos) lxor 0x2a));
+  let oc = open_out_bin path in
+  output_bytes oc contents;
+  close_out oc
